@@ -6,6 +6,7 @@ reproduce tensors, and dataset generation is a pure function of
 """
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -371,6 +372,12 @@ def load_checkpoint(path):
             raise ParseError(f"truncated checkpoint while reading {what}", pos)
         return raw[pos:pos + n], pos + n
 
+    def utf8(chunk, pos, what):
+        try:
+            return chunk.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{what} is not valid UTF-8", pos + e.start) from None
+
     chunk, pos = need(0, 4, "magic")
     if chunk != CHECKPOINT_MAGIC:
         raise ParseError(f"bad checkpoint magic {chunk!r}", 0)
@@ -381,7 +388,7 @@ def load_checkpoint(path):
     chunk, pos = need(pos, 8, "config length")
     clen = struct.unpack("<Q", chunk)[0]
     chunk, pos = need(pos, clen, "config document")
-    doc = config_doc_loads(chunk.decode())
+    doc = config_doc_loads(utf8(chunk, pos - clen, "config document"))
     chunk, pos = need(pos, 8, "tensor count")
     count = struct.unpack("<Q", chunk)[0]
     tensors, optim = {}, {}
@@ -389,16 +396,19 @@ def load_checkpoint(path):
         chunk, pos = need(pos, 2, "name length")
         nlen = struct.unpack("<H", chunk)[0]
         chunk, pos = need(pos, nlen, "tensor name")
-        name = chunk.decode()
+        name = utf8(chunk, pos - nlen, "tensor name")
         chunk, pos = need(pos, 2, "dtype/ndim")
         code, ndim = chunk[0], chunk[1]
         if code not in _DTYPE_CODES:
             raise ParseError(f"unknown dtype code {code} for tensor '{name}'", pos - 2)
         dims = []
+        dims_pos = pos
         for _ in range(ndim):
             chunk, pos = need(pos, 8, f"dims of '{name}'")
             dims.append(struct.unpack("<Q", chunk)[0])
-        nbytes = int(np.prod(dims, dtype=np.int64)) * np.dtype(_DTYPE_CODES[code]).itemsize
+        if math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max:
+            raise ParseError(f"dims {dims} of '{name}' overflow an array size", dims_pos)
+        nbytes = math.prod(dims) * np.dtype(_DTYPE_CODES[code]).itemsize
         chunk, pos = need(pos, nbytes, f"data of '{name}'")
         arr = np.frombuffer(chunk, dtype=_DTYPE_CODES[code]).reshape(dims).copy()
         target = optim if name.startswith("optim.") else tensors

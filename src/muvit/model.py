@@ -237,15 +237,21 @@ def set_mode(model, mode):
 
 
 def first_nonfinite_layer(model, images):
-    """Name of the first stage producing non-finite values, or None."""
+    """Name of the first stage producing non-finite values, or None.
+
+    Re-runs the forward in the model's current mode without recording a tape
+    or checking finiteness per op; train-mode BatchNorm running statistics
+    are restored afterwards, so the call leaves the model as it found it.
+    Errors other than non-finite values propagate.
+    """
     taps = {}
-    was_training = model.training
+    saved = [(b, b.copy()) for _, b in model.named_buffers()]
     try:
-        model.forward(images, taps=taps)
-    except Exception:
-        pass
+        with T.no_grad(), T.finite_checks(False):
+            model.forward(images, taps=taps)
     finally:
-        set_mode(model, "train" if was_training else "eval")
+        for buf, value in saved:
+            buf[...] = value
     for name, t in taps.items():
         if not np.all(np.isfinite(t.data)):
             return name

@@ -7,6 +7,16 @@ plus the elementwise/reduction glue used by the loss. Every op that records
 onto the active Graph knows how to push gradients back to its inputs;
 ``backward(loss)`` replays the tape in reverse.
 
+Dense convs (every conv that is neither pointwise nor depthwise) run on a
+flat padded buffer: the input is zero-padded once into a channel-major
+[Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM against that
+buffer shifted by i*Wp + j, accumulated into the output; windows that wrap
+into the next row or image land only in the margin that is cropped away.
+The backward pass places d(out) on the same grid and runs the same shifted
+GEMMs for the weight gradient and, scattered back, for the input gradient.
+The tape keeps the padded buffer, about the size of the input, and no
+im2col copy.
+
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
 """
@@ -15,7 +25,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -156,7 +165,12 @@ _FINITE_CHECKS = False
 
 @contextmanager
 def record():
-    """Record ops into a fresh Graph; yields the graph for backward()."""
+    """Record ops into a fresh Graph and yield it.
+
+    backward() must be called inside the same block: it reads the active
+    graph, and tensors keep no reference to the graph that produced them, so
+    the tape is freed by reference counting once the block exits.
+    """
     global _GRAPH
     prev = _GRAPH
     _GRAPH = g = Graph()
@@ -229,7 +243,6 @@ def _out(op, inputs, data, bwd):
     g = _GRAPH
     if g is not None and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
         t.requires_grad = True
-        t._graph = g
         g.nodes.append(Node(op, tuple(i for i in inputs if isinstance(i, Tensor)), t, bwd))
     return t
 
@@ -237,15 +250,18 @@ def _out(op, inputs, data, bwd):
 def backward(loss):
     """Reverse-mode accumulation into every requires_grad leaf reachable from loss.
 
-    Repeated calls accumulate into .grad unless grads are cleared.
+    Must run inside the record() block that recorded the forward: loss has to
+    be the output of a node on the active graph. Repeated calls accumulate
+    into .grad unless grads are cleared.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise UsageError("backward() needs a scalar loss tensor")
-    g = getattr(loss, "_graph", None)
-    if g is None:
-        raise UsageError("loss was not recorded on a graph; run the forward under record()")
+    g = _GRAPH
+    produced = {id(n.output) for n in g.nodes} if g is not None else set()
+    if id(loss) not in produced:
+        raise UsageError("loss is not an output of the active graph; "
+                         "run the forward and backward() inside one record() block")
     flows = {id(loss): [loss, np.ones_like(loss.data)]}
-    produced = {id(n.output) for n in g.nodes}
     for node in reversed(g.nodes):
         entry = flows.pop(id(node.output), None)
         if entry is None:
@@ -498,82 +514,68 @@ def _conv_out_size(size, k, stride, pad):
     return num // stride + 1
 
 
-def _windows(xp, kh, kw, stride):
-    """Strided view [N, C, Ho, Wo, kh, kw] over the padded input."""
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    sn, sc, sh, sw = xp.strides
-    return as_strided(xp, (n, c, ho, wo, kh, kw), (sn, sc, sh * stride, sw * stride, sh, sw))
+def _to_grid(a, hp, wp, top, step):
+    """[N, C, h, w] -> channel-major flat buffer [C, N*hp*wp] of zeros holding
+    a[n, c] from row and column `top` on, every `step` rows and columns."""
+    n, c, h, w = a.shape
+    buf = np.zeros((c, n, hp, wp), dtype=a.dtype)
+    buf[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step] = \
+        a.transpose(1, 0, 2, 3)
+    return buf.reshape(c, n * hp * wp)
 
 
-def _conv2d_raw(x, w, stride, pad, groups):
-    """Cross-correlation forward on raw arrays; returns out[N,Co,Ho,Wo]."""
-    n, ci, h, wdt = x.shape
+def _from_grid(buf, n, hp, wp, top, step, h, w):
+    """Inverse of _to_grid: read [N, C, h, w] back out of the flat buffer."""
+    grid = buf.reshape(buf.shape[0], n, hp, wp)
+    return np.ascontiguousarray(
+        grid[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step]
+        .transpose(1, 0, 2, 3))
+
+
+def _dense_fwd(xf, w, groups, wp):
+    """Stride-1 grouped correlation on the flat padded buffer, one GEMM per tap.
+
+    out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span; the
+    positions whose window wraps into the next row or image lie in the margin
+    that the caller crops away.
+    """
     co, cig, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = _windows(xp, kh, kw, stride)
-    ho, wo = win.shape[2], win.shape[3]
-    if groups == 1:
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, ci * kh * kw)
-        out = cols @ w.reshape(co, -1).T
-        return out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
-    if groups == ci and cig == 1 and co == ci:
-        return np.einsum("nchwij,cij->nchw", win, w[:, 0], optimize=True)
     cog = co // groups
-    out = np.empty((n, co, ho, wo), dtype=x.dtype)
-    for g in range(groups):
-        xs = win[:, g * cig:(g + 1) * cig]
-        ws = w[g * cog:(g + 1) * cog]
-        cols = xs.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cig * kh * kw)
-        out[:, g * cog:(g + 1) * cog] = (cols @ ws.reshape(cog, -1).T).reshape(n, ho, wo, cog).transpose(0, 3, 1, 2)
+    m = xf.shape[1]
+    span = m - (kh - 1) * wp - (kw - 1)
+    out = np.zeros((co, m), dtype=xf.dtype)
+    tmp = np.empty((cog, span), dtype=xf.dtype)
+    for gi in range(groups):
+        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                np.matmul(w[o, :, i, j], xf[c, off:off + span], out=tmp)
+                out[o, :span] += tmp
     return out
 
 
-def _conv2d_w_grad(x, gout, kh, kw, stride, pad, groups):
-    n, ci, h, wdt = x.shape
-    co = gout.shape[1]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = _windows(xp, kh, kw, stride)
-    if groups == 1:
-        return np.einsum("nohw,nchwij->ocij", gout, win, optimize=True)
-    if groups == ci and co == ci:
-        return np.einsum("nchw,nchwij->cij", gout, win, optimize=True)[:, None]
-    cig = ci // groups
-    cog = co // groups
-    gw = np.empty((co, cig, kh, kw), dtype=x.dtype)
-    for g in range(groups):
-        gw[g * cog:(g + 1) * cog] = np.einsum(
-            "nohw,nchwij->ocij", gout[:, g * cog:(g + 1) * cog], win[:, g * cig:(g + 1) * cig], optimize=True)
-    return gw
-
-
-def _dilate(g, stride):
-    if stride == 1:
-        return g
-    n, c, h, w = g.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=g.dtype)
-    out[:, :, ::stride, ::stride] = g
-    return out
-
-
-def _conv2d_x_grad(gout, w, x_shape, stride, pad, groups):
-    """d(conv)/dx: dilate the upstream grad and correlate with flipped kernels."""
+def _dense_bwd(gs, xf, w, groups, wp, need_x):
+    """Gradients of _dense_fwd: gs is d(out) on the same flat grid, zero in
+    the margin. Returns (d(w), d(xf) or None)."""
     co, cig, kh, kw = w.shape
-    gd = _dilate(np.ascontiguousarray(gout), stride)
-    wf = w[:, :, ::-1, ::-1]
-    if groups == 1:
-        wt = wf.transpose(1, 0, 2, 3)  # [Ci, Co, kh, kw]
-    else:
-        ci = cig * groups
-        cog = co // groups
-        wt = np.empty((ci, cog, kh, kw), dtype=w.dtype)
-        for g in range(groups):
-            # per group, swap in/out channel roles
-            wt[g * cig:(g + 1) * cig] = wf[g * cog:(g + 1) * cog].transpose(1, 0, 2, 3)
-    dx = _conv2d_raw(gd, np.ascontiguousarray(wt), 1, kh - 1 - pad, groups)
-    n, ci, h, wdt = x_shape
-    return dx[:, :, :h, :wdt]
+    cog = co // groups
+    m = xf.shape[1]
+    span = m - (kh - 1) * wp - (kw - 1)
+    gw = np.empty((kh, kw, co, cig), dtype=xf.dtype)
+    gxf = np.zeros((cig * groups, m), dtype=xf.dtype) if need_x else None
+    tmp = np.empty((cig, span), dtype=xf.dtype)
+    for gi in range(groups):
+        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
+        go = gs[o, :span]
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                gw[i, j, o] = go @ xf[c, off:off + span].T
+                if need_x:
+                    np.matmul(w[o, :, i, j].T, go, out=tmp)
+                    gxf[c, off:off + span] += tmp
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1)), gxf
 
 
 def _dwconv_forward(x, w, stride, pad):
@@ -621,7 +623,15 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Grouped 2-d cross-correlation.
 
     x: [N, Ci, H, W]; w: [Co, Ci/g, kh, kw]; groups=Ci gives a depthwise conv,
-    1x1 kernels give a pointwise conv.
+    1x1 kernels give a pointwise conv. Every other conv takes the dense path:
+    x is padded once into the flat buffer xf = [Ci, N*Hp*Wp], and each tap
+    (i, j) adds w[:, :, i, j] @ xf[:, off:off + L] to the output, with
+    off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1); the result is cropped
+    to [:Ho, :Wo] (stride s keeps every s-th position of the stride-1 result),
+    and groups run one after another through the same loop. The backward pass
+    keeps xf, places d(out) on the same grid, takes d(w) per tap as
+    d(out) @ xf[:, off:off + L].T and scatter-adds w[:, :, i, j].T @ d(out)
+    into a padded d(x) that is cropped like the input.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ConfigError("conv2d expects 4-d input and weight")
@@ -635,27 +645,18 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         raise ConfigError(f"conv2d: bias shape {b.shape} != ({co},)")
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(wdt, kw, stride, pad)
-    recording = _GRAPH is not None and (x.requires_grad or w.requires_grad
-                                        or (b is not None and b.requires_grad))
     pointwise = kh == 1 and kw == 1 and stride == 1 and pad == 0 and groups == 1
     depthwise = groups == ci and co == ci and cig == 1
-    cols = None
     if pointwise:
         x3 = x.data.reshape(n, ci, h * wdt)
         w2 = w.data.reshape(co, ci)
         out = np.matmul(w2, x3).reshape(n, co, h, wdt)
     elif depthwise:
         out = _dwconv_forward(x.data, w.data, stride, pad)
-    elif groups == 1:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-        win = _windows(xp, kh, kw, stride)
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, ci * kh * kw)
-        out = (cols @ w.data.reshape(co, -1).T).reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
-        out = np.ascontiguousarray(out)
-        if not recording:
-            cols = None      # drop the im2col buffer outside training
     else:
-        out = _conv2d_raw(x.data, w.data, stride, pad, groups)
+        hp, wp = h + 2 * pad, wdt + 2 * pad
+        xf = _to_grid(x.data, hp, wp, pad, 1)
+        out = _from_grid(_dense_fwd(xf, w.data, groups, wp), n, hp, wp, 0, stride, ho, wo)
     if b is not None:
         out = out + b.data[:, None, None]
     _tally("conv2d", n * ho * wo * co * cig * kh * kw)
@@ -672,13 +673,9 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             gw = _dwconv_w_grad(x.data, gc, kh, kw, stride, pad)
             gx = _dwconv_x_grad(gc, w.data, x.shape, stride, pad) if x.requires_grad else None
         else:
-            if cols is not None:
-                g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, co)
-                gw = (g2.T @ cols).reshape(co, cig, kh, kw)
-            else:
-                gw = _conv2d_w_grad(x.data, np.ascontiguousarray(g), kh, kw, stride, pad, groups)
-            gx = _conv2d_x_grad(g, w.data, x.shape, stride, pad, groups) \
-                if x.requires_grad else None
+            gs = _to_grid(g, hp, wp, 0, stride)
+            gw, gxf = _dense_bwd(gs, xf, w.data, groups, wp, x.requires_grad)
+            gx = _from_grid(gxf, n, hp, wp, pad, 1, h, wdt) if x.requires_grad else None
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -76,6 +76,23 @@ def op_checks(seed=0):
         p = _proj(rng, (1, 2, 3, 3))
         return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, stride=2, groups=2)), [x, w])
 
+    @check("conv2d_dense_strided")
+    def _(seed=seed):
+        rng = _rng(seed)
+        x = _f64(rng, (2, 2, 7, 5))
+        w = _f64(rng, (3, 2, 3, 3), 0.5)
+        b = _f64(rng, (3,), 0.1)
+        p = _proj(rng, (2, 3, 4, 3))
+        return gradcheck(lambda x_, w_, b_: p(T.conv2d(x_, w_, b_, stride=2, pad=1)), [x, w, b])
+
+    @check("conv2d_dense_valid")
+    def _(seed=seed):
+        rng = _rng(seed)
+        x = _f64(rng, (2, 3, 5, 7))
+        w = _f64(rng, (2, 3, 3, 3), 0.5)
+        p = _proj(rng, (2, 2, 3, 5))
+        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_)), [x, w])
+
     @check("conv_transpose2d")
     def _(seed=seed):
         rng = _rng(seed)

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from muvit import tensor as T
 from muvit.accounting import (attention_quadratic_macs, conv_macs,
@@ -148,6 +149,7 @@ def test_criterion_06_shape_pipeline():
     report(6, "shape pipeline", f"({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_overfit_oracle():
     budget = Budget(180)
     [sample] = synth_dataset(seed=5, n=1, size=64, difficulty=0.0)
@@ -170,6 +172,7 @@ def test_criterion_07_overfit_oracle():
     report(7, "overfit oracle", f"(train Dice {dice:.4f}, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_learning():
     budget = Budget(1200)
     train_set = synth_dataset(seed=42, n=200, size=64, difficulty=0.0)

@@ -1,5 +1,7 @@
 """PNM files, synthetic data generation, checkpoints, config documents."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,42 @@ class TestCheckpoint:
         p.write_bytes(raw[:-10])
         with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(str(p))
+
+    def _one_tensor_checkpoint(self, tmp_path, shape=(1, 1)):
+        """Checkpoint holding the single f32 tensor 'a'; returns (path, raw
+        bytes, offset of the name byte)."""
+        p = tmp_path / "one.ckpt"
+        save_checkpoint(str(p), self._doc(ModelConfig()), {"a": np.zeros(shape, dtype=np.float32)})
+        raw = bytearray(p.read_bytes())
+        clen = struct.unpack("<Q", raw[8:16])[0]
+        name_at = 16 + clen + 8 + 2
+        assert raw[name_at:name_at + 1] == b"a"
+        return p, raw, name_at
+
+    def test_overflowing_dims_rejected_with_offset(self, tmp_path):
+        p, raw, name_at = self._one_tensor_checkpoint(tmp_path)
+        dims_at = name_at + 1 + 2
+        raw[dims_at:dims_at + 16] = struct.pack("<QQ", 2 ** 32, 2 ** 32)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="overflow") as exc:
+            load_checkpoint(str(p))
+        assert exc.value.offset == dims_at
+
+    def test_non_utf8_tensor_name_rejected_with_offset(self, tmp_path):
+        p, raw, name_at = self._one_tensor_checkpoint(tmp_path)
+        raw[name_at] = 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="UTF-8") as exc:
+            load_checkpoint(str(p))
+        assert exc.value.offset == name_at
+
+    def test_non_utf8_config_rejected_with_offset(self, tmp_path):
+        p, raw, _ = self._one_tensor_checkpoint(tmp_path)
+        raw[19] = 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="UTF-8") as exc:
+            load_checkpoint(str(p))
+        assert exc.value.offset == 19
 
     def test_duplicate_names_rejected_on_save(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):

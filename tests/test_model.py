@@ -196,3 +196,20 @@ class TestDiagnostics:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         assert first_nonfinite_layer(model, image_batch(rng, 1, 64)) is None
+
+    def test_running_stats_untouched_in_train_mode(self, rng):
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        model = build_model(cfg, seed=0)
+        model.train()
+        model.forward(image_batch(rng, 2, 64))     # move the stats off their init
+        before = {k: v.tobytes() for k, v in model.named_buffers()}
+        first_nonfinite_layer(model, image_batch(rng, 2, 64))
+        assert {k: v.tobytes() for k, v in model.named_buffers()} == before
+        assert model.training
+
+    def test_non_numeric_error_propagates(self, rng):
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        model = build_model(cfg, seed=0)
+        model.enc3.proj.weight.data = np.zeros((1, 1, 3, 3), dtype=np.float32)
+        with pytest.raises(ConfigError):
+            first_nonfinite_layer(model, image_batch(rng, 1, 64))

@@ -14,6 +14,29 @@ def t(arr, dtype="f64"):
     return Tensor(np.asarray(arr, dtype=np.float64), dtype=dtype)
 
 
+CONV_CASES = [
+    dict(n=2, ci=3, co=4, h=6, w=7, k=3, stride=1, pad=1, groups=1),
+    dict(n=1, ci=4, co=4, h=5, w=5, k=3, stride=1, pad=2, groups=4),
+    dict(n=2, ci=4, co=6, h=6, w=6, k=2, stride=2, pad=0, groups=2),
+    dict(n=1, ci=2, co=5, h=8, w=8, k=1, stride=1, pad=0, groups=1),
+    dict(n=1, ci=3, co=3, h=9, w=9, k=7, stride=1, pad=3, groups=3),
+    # dense path: padding, shapes and strides the model does not use
+    dict(n=2, ci=3, co=4, h=6, w=7, k=3, stride=1, pad=0, groups=1),
+    dict(n=1, ci=2, co=3, h=5, w=5, k=3, stride=1, pad=2, groups=1),
+    dict(n=1, ci=3, co=2, h=4, w=9, k=3, stride=1, pad=1, groups=1),
+    dict(n=1, ci=2, co=3, h=7, w=6, k=5, stride=1, pad=2, groups=1),
+    dict(n=2, ci=3, co=4, h=7, w=9, k=3, stride=2, pad=1, groups=1),
+    dict(n=1, ci=3, co=2, h=4, w=5, k=1, stride=1, pad=1, groups=1),
+    dict(n=3, ci=2, co=3, h=5, w=4, k=3, stride=1, pad=1, groups=1),
+]
+
+
+def conv_case_arrays(rng, case):
+    x = rng.standard_normal((case["n"], case["ci"], case["h"], case["w"]))
+    w = rng.standard_normal((case["co"], case["ci"] // case["groups"], case["k"], case["k"]))
+    return x, w, rng.standard_normal(case["co"])
+
+
 class TestConv2d:
     def test_identity_1x1(self):
         out = T.conv2d(t([[[[5.0]]]]), t([[[[1.0]]]]), t([0.0]))
@@ -36,21 +59,21 @@ class TestConv2d:
         assert out[0, 0, 1, 1] == 9.0
         assert out[0, 1, 1, 1] == 18.0
 
-    @pytest.mark.parametrize("case", [
-        dict(n=2, ci=3, co=4, h=6, w=7, k=3, stride=1, pad=1, groups=1),
-        dict(n=1, ci=4, co=4, h=5, w=5, k=3, stride=1, pad=2, groups=4),
-        dict(n=2, ci=4, co=6, h=6, w=6, k=2, stride=2, pad=0, groups=2),
-        dict(n=1, ci=2, co=5, h=8, w=8, k=1, stride=1, pad=0, groups=1),
-        dict(n=1, ci=3, co=3, h=9, w=9, k=7, stride=1, pad=3, groups=3),
-    ])
+    @pytest.mark.parametrize("case", CONV_CASES)
     def test_against_bruteforce(self, rng, case):
-        x = rng.standard_normal((case["n"], case["ci"], case["h"], case["w"]))
-        w = rng.standard_normal((case["co"], case["ci"] // case["groups"],
-                                 case["k"], case["k"]))
-        b = rng.standard_normal(case["co"])
+        x, w, b = conv_case_arrays(rng, case)
         ref = conv2d_reference(x, w, b, case["stride"], case["pad"], case["groups"])
         out = T.conv2d(t(x), t(w), t(b), case["stride"], case["pad"], case["groups"])
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_gradients_match_central_differences(self, rng, case):
+        x, w, b = conv_case_arrays(rng, case)
+        args = case["stride"], case["pad"], case["groups"]
+        r = t(rng.standard_normal(conv2d_reference(x, w, b, *args).shape) * 0.1)
+        err = T.gradcheck(lambda x_, w_, b_: T.tsum(T.mul(T.conv2d(x_, w_, b_, *args), r)),
+                          [t(x), t(w), t(b)])
+        assert err <= 1e-5
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(ConfigError):

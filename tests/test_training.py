@@ -1,6 +1,8 @@
 """Loss closed forms, optimizer arithmetic, schedules, augmentation, loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -288,3 +290,39 @@ class TestTrainLoop:
             losses.append(terms.total.item())
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
         assert drops >= 18
+
+
+class TestTape:
+    def test_train_step_freed_without_cyclic_gc(self, rng):
+        # the tape must be freed by reference counting alone: no tensor may
+        # point back at the graph that holds it
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        model.train()
+        x = Tensor(rng.random((1, 3, 64, 64)).astype(np.float32))
+        y = Tensor((rng.random((1, 1, 64, 64)) > 0.5).astype(np.float32))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            taps = {}
+            with record():
+                logits = model.forward(x, taps=taps)
+                terms = seg_loss(logits, y)
+                model.zero_grad()
+                backward(terms.total)
+            refs = [weakref.ref(taps["enc3"]), weakref.ref(logits), weakref.ref(terms.total)]
+            del taps, logits, terms
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_backward_outside_its_record_block_rejected(self, rng):
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        with record():
+            loss = T.tsum(T.mul(x, x))
+        with record():
+            with pytest.raises(UsageError):
+                backward(loss)
+        with pytest.raises(UsageError):
+            backward(loss)
