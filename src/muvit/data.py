@@ -271,6 +271,21 @@ def config_doc_dumps(doc):
     return "\n".join(lines) + "\n"
 
 
+def _config_value(key, value):
+    """Typed value of one config line; ValueError when it does not parse."""
+    if key in _INT_KEYS:
+        return int(value)
+    if key == "lr0":
+        return float(value)
+    if key == "kernels":
+        return tuple(int(x) for x in value.split(","))
+    if key == "literal_eq2":
+        if value not in ("true", "false"):
+            raise ValueError(f"literal_eq2 must be true/false, got {value!r}")
+        return value == "true"
+    return value
+
+
 def config_doc_loads(text):
     """Strict parse of the config document; unknown keys are rejected."""
     doc = {}
@@ -286,18 +301,11 @@ def config_doc_loads(text):
             raise ConfigError(f"unknown config key '{key}' (line {lineno})")
         if key in doc:
             raise ConfigError(f"duplicate config key '{key}' (line {lineno})")
-        if key in _INT_KEYS:
-            doc[key] = int(value)
-        elif key == "lr0":
-            doc[key] = float(value)
-        elif key == "kernels":
-            doc[key] = tuple(int(x) for x in value.split(","))
-        elif key == "literal_eq2":
-            if value not in ("true", "false"):
-                raise ConfigError(f"literal_eq2 must be true/false, got '{value}'")
-            doc[key] = value == "true"
-        else:
-            doc[key] = value
+        try:
+            doc[key] = _config_value(key, value)
+        except ValueError:
+            raise ConfigError(f"config key '{key}' has a malformed value {value!r} "
+                              f"(line {lineno})") from None
     missing = set(CONFIG_KEYS) - set(doc)
     if missing:
         raise ConfigError(f"config document missing keys: {sorted(missing)}")

@@ -17,6 +17,16 @@ GEMMs for the weight gradient and, scattered back, for the input gradient.
 The tape keeps the padded buffer, about the size of the input, and no
 im2col copy.
 
+Depthwise convs run as banded GEMMs on width tiles: the input is zero-padded
+once into channel-major tiles [C, Hp, N, nb, b+kw-1], each covering
+b = min(16, Wo1) columns of the stride-1 output, neighbouring tiles
+overlapping by kw-1 columns, and kernel row i becomes a per-channel banded
+Toeplitz matrix [b+kw-1, b]. The forward is kh batched GEMMs over channels,
+one per kernel row, accumulated into the output. The backward takes d(w)
+from the diagonal sums of tiles^T @ d(out) and d(x) from d(out) times the
+transposed band, scatter-added back over the overlapping tile columns. The
+tape keeps only the input; the tiles are rebuilt in the backward pass.
+
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
 """
@@ -25,6 +35,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -578,45 +589,100 @@ def _dense_bwd(gs, xf, w, groups, wp, need_x):
     return np.ascontiguousarray(gw.transpose(2, 3, 0, 1)), gxf
 
 
-def _dwconv_forward(x, w, stride, pad):
-    """Depthwise conv as k^2 shifted-slice multiply-adds (no im2col buffer)."""
+_DW_TILE = 16
+
+
+def _dw_tiles(x, kw, pad):
+    """Zero-pad x [N, C, H, W] once into channel-major width tiles
+    [C, Hp, N, nb, b+kw-1]: tile t holds padded columns t*b .. t*b+b+kw-2, so
+    neighbouring tiles overlap by kw-1 columns. The tile width is
+    b = min(16, Wo1) for the stride-1 output width Wo1, and nb*b >= Wo1."""
+    n, c, h, w = x.shape
+    wo1 = w + 2 * pad - kw + 1
+    b = min(_DW_TILE, wo1)
+    nb = -(-wo1 // b)
+    xp = np.zeros((c, h + 2 * pad, n, nb * b + kw - 1), dtype=x.dtype)
+    xp[:, pad:pad + h, :, pad:pad + w] = x.transpose(1, 2, 0, 3)
+    return np.ascontiguousarray(sliding_window_view(xp, b + kw - 1, axis=-1)[..., :nb * b:b, :])
+
+
+def _dw_band(w, b):
+    """[C, 1, kh, kw] -> banded Toeplitz matrices [C, kh, b+kw-1, b] with
+    band[c, i, u, v] = w[c, 0, i, u - v] for 0 <= u - v < kw, else 0, so that
+    a tile row times band[c, i] is kernel row i slid over the tile."""
+    c, _, kh, kw = w.shape
+    j, v = np.ogrid[:kw, :b]
+    band = np.zeros((c, kh, b + kw - 1, b), dtype=w.dtype)
+    band[:, :, j + v, v] = w[:, 0, :, :, None]
+    return band
+
+
+def _dw_fwd(x, w, stride, pad):
+    """Depthwise correlation, one batched GEMM over channels per kernel row:
+    the stride-1 output is sum_i tiles[:, i:i+Ho1] @ band[:, i], laid out as
+    [C, Ho1, N, nb*b]; stride s keeps every s-th row and column of it."""
     n, c, h, wdt = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wdt + 2 * pad - kw) // stride + 1
-    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    kh, kw = w.shape[2:]
+    tiles = _dw_tiles(x, kw, pad)
+    hp, nb, t = tiles.shape[1], tiles.shape[3], tiles.shape[4]
+    b = t - kw + 1
+    band = _dw_band(w, b)
+    ho1, wo1 = hp - kh + 1, wdt + 2 * pad - kw + 1
+    m = ho1 * n * nb
+    out = np.empty((c, m, b), dtype=x.dtype)
+    np.matmul(tiles[:, :ho1].reshape(c, m, t), band[:, 0], out=out)
+    tmp = np.empty_like(out)
+    for i in range(1, kh):
+        np.matmul(tiles[:, i:i + ho1].reshape(c, m, t), band[:, i], out=tmp)
+        out += tmp
+    out = out.reshape(c, ho1, n, nb * b)[:, ::stride, :, :wo1:stride]
+    return np.ascontiguousarray(out.transpose(2, 0, 1, 3))
+
+
+def _dw_bwd(g, x, w, stride, pad, need_x):
+    """Gradients of _dw_fwd as (d(w), d(x) or None).
+
+    d(out) goes onto the stride-1 output grid g1 = [C, Ho1, N, nb*b], zero
+    where the forward cropped. d(w) row i is the diagonal sums of
+    tiles[:, i:i+Ho1].T @ g1. d(x) row i is band[:, i] @ g1.T per tile, with
+    g1 copied tile-major so both GEMM operands are contiguous, and its
+    overlapping tile columns are scatter-added, b columns at a time, onto a
+    padded d(x) stored columns-outermost, so that every add runs over whole
+    (row, image) planes. The tiles are rebuilt here instead of kept on the
+    tape, and each buffer is freed as soon as it is used up, which keeps
+    the peak near that of a plain padded copy of d(x).
+    """
+    n, c, h, wdt = x.shape
+    kh, kw = w.shape[2:]
+    tiles = _dw_tiles(x, kw, pad)
+    hp, nb, t = tiles.shape[1], tiles.shape[3], tiles.shape[4]
+    b = t - kw + 1
+    ho1, wo1 = hp - kh + 1, wdt + 2 * pad - kw + 1
+    m = ho1 * n * nb
+    g1 = np.zeros((c, ho1, n, nb * b), dtype=g.dtype)
+    g1[:, ::stride, :, :wo1:stride] = g.transpose(1, 2, 0, 3)
+    j, v = np.ogrid[:kw, :b]
+    gw = np.empty((c, 1, kh, kw), dtype=g.dtype)
     for i in range(kh):
-        for j in range(kw):
-            out += w[:, 0, i, j][None, :, None, None] * \
-                xp[:, :, i:i + (ho - 1) * stride + 1:stride, j:j + (wo - 1) * stride + 1:stride]
-    return out
-
-
-def _dwconv_w_grad(x, g, kh, kw, stride, pad):
-    n, c = x.shape[0], x.shape[1]
-    ho, wo = g.shape[2], g.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    gw = np.empty((c, 1, kh, kw), dtype=x.dtype)
+        gband = np.matmul(tiles[:, i:i + ho1].reshape(c, m, t).transpose(0, 2, 1),
+                          g1.reshape(c, m, b))
+        gw[:, 0, i] = gband[:, j + v, v].sum(axis=-1)
+    if not need_x:
+        return gw, None
+    del tiles
+    gt = np.ascontiguousarray(g1.reshape(c, ho1, n, nb, b).transpose(0, 3, 4, 1, 2))
+    del g1
+    gt = gt.reshape(c, nb, b, ho1 * n)
+    band = _dw_band(w, b)[:, None]
+    gxc = np.zeros((c, nb + -(-(kw - 1) // b), b, hp, n), dtype=g.dtype)
+    tmp = np.empty((c, nb, t, ho1, n), dtype=g.dtype)
     for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, :, i:i + (ho - 1) * stride + 1:stride, j:j + (wo - 1) * stride + 1:stride]
-            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, xs)
-    return gw
-
-
-def _dwconv_x_grad(g, w, x_shape, stride, pad):
-    n, c, h, wdt = x_shape
-    kh, kw = w.shape[2], w.shape[3]
-    ho, wo = g.shape[2], g.shape[3]
-    gxp = np.zeros((n, c, h + 2 * pad, wdt + 2 * pad), dtype=g.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + (ho - 1) * stride + 1:stride, j:j + (wo - 1) * stride + 1:stride] += \
-                w[:, 0, i, j][None, :, None, None] * g
-    if pad:
-        return np.ascontiguousarray(gxp[:, :, pad:pad + h, pad:pad + wdt])
-    return gxp
+        np.matmul(band[:, :, i], gt, out=tmp.reshape(c, nb, t, ho1 * n))
+        for q in range(0, t, b):
+            gxc[:, q // b:q // b + nb, :min(b, t - q), i:i + ho1] += tmp[:, :, q:q + b]
+    del gt, tmp
+    gx = gxc.transpose(4, 0, 3, 1, 2).reshape(n, c, hp, -1)[:, :, pad:pad + h, pad:pad + wdt]
+    return gw, np.ascontiguousarray(gx)
 
 
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
@@ -632,6 +698,16 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     keeps xf, places d(out) on the same grid, takes d(w) per tap as
     d(out) @ xf[:, off:off + L].T and scatter-adds w[:, :, i, j].T @ d(out)
     into a padded d(x) that is cropped like the input.
+
+    Depthwise convs take the tiled path (_dw_fwd/_dw_bwd): x is padded once
+    into width tiles [Ci, Hp, N, nb, b+kw-1] with b = min(16, Wo1) for the
+    stride-1 output width Wo1, and that output is
+    sum_i tiles[:, i:i+Ho1] @ band[:, i], one batched GEMM per kernel row
+    with band[c, i] the [b+kw-1, b] Toeplitz matrix of w[c, 0, i]; stride s
+    keeps every s-th position. The backward pass sums
+    the diagonals of tiles^T @ d(out) for d(w) and scatter-adds
+    d(out) @ band^T over the overlapping tile columns for d(x). Every path
+    tallies the analytic N*Ho*Wo*Co*(Ci/g)*kh*kw MACs.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ConfigError("conv2d expects 4-d input and weight")
@@ -652,7 +728,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         w2 = w.data.reshape(co, ci)
         out = np.matmul(w2, x3).reshape(n, co, h, wdt)
     elif depthwise:
-        out = _dwconv_forward(x.data, w.data, stride, pad)
+        out = _dw_fwd(x.data, w.data, stride, pad)
     else:
         hp, wp = h + 2 * pad, wdt + 2 * pad
         xf = _to_grid(x.data, hp, wp, pad, 1)
@@ -669,9 +745,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             gx = np.matmul(w.data.reshape(co, ci).T, g3).reshape(x.shape) \
                 if x.requires_grad else None
         elif depthwise:
-            gc = np.ascontiguousarray(g)
-            gw = _dwconv_w_grad(x.data, gc, kh, kw, stride, pad)
-            gx = _dwconv_x_grad(gc, w.data, x.shape, stride, pad) if x.requires_grad else None
+            gw, gx = _dw_bwd(g, x.data, w.data, stride, pad, x.requires_grad)
         else:
             gs = _to_grid(g, hp, wp, 0, stride)
             gw, gxf = _dense_bwd(gs, xf, w.data, groups, wp, x.requires_grad)

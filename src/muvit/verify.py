@@ -68,6 +68,23 @@ def op_checks(seed=0):
         p = _proj(rng, (2, 3, 6, 6))
         return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, pad=1, groups=3)), [x, w])
 
+    @check("conv2d_depthwise_k9")
+    def _(seed=seed):
+        rng = _rng(seed)
+        x = _f64(rng, (2, 3, 4, 4))
+        w = _f64(rng, (3, 1, 9, 9), 0.2)
+        p = _proj(rng, (2, 3, 4, 4))
+        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, pad=4, groups=3)), [x, w])
+
+    @check("conv2d_depthwise_tiles")
+    def _(seed=seed):
+        rng = _rng(seed)
+        x = _f64(rng, (2, 2, 5, 19))
+        w = _f64(rng, (2, 1, 3, 3), 0.5)
+        b = _f64(rng, (2,), 0.1)
+        p = _proj(rng, (2, 2, 5, 19))
+        return gradcheck(lambda x_, w_, b_: p(T.conv2d(x_, w_, b_, pad=1, groups=2)), [x, w, b])
+
     @check("conv2d_strided")
     def _(seed=seed):
         rng = _rng(seed)

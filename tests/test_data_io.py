@@ -158,6 +158,15 @@ class TestConfigDoc:
         with pytest.raises(ConfigError, match="duplicate"):
             config_doc_loads(text)
 
+    @pytest.mark.parametrize("key,value", [("input_size", "abc"), ("lr0", "x"),
+                                           ("kernels", "3,,7"), ("literal_eq2", "yes")])
+    def test_malformed_value_rejected_with_key_and_line(self, key, value):
+        lines = config_doc_dumps({}).splitlines()
+        lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(key + " "))
+        lines[lineno - 1] = f"{key} = {value}"
+        with pytest.raises(ConfigError, match=rf"'{key}'.*\(line {lineno}\)"):
+            config_doc_loads("\n".join(lines))
+
     def test_to_model_config(self):
         doc = config_doc_loads(config_doc_dumps({"variant": "large", "input_size": 64}))
         cfg = model_config_from_doc(doc)
@@ -287,6 +296,15 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="UTF-8") as exc:
             load_checkpoint(str(p))
         assert exc.value.offset == 19
+
+    def test_malformed_config_value_rejected(self, tmp_path):
+        p, raw, _ = self._one_tensor_checkpoint(tmp_path)
+        clen = struct.unpack("<Q", raw[8:16])[0]
+        doc = bytes(raw[16:16 + clen]).replace(b"input_size = 256", b"input_size = abc")
+        assert b"input_size = abc" in doc and len(doc) == clen
+        p.write_bytes(bytes(raw[:16]) + doc + bytes(raw[16 + clen:]))
+        with pytest.raises(ConfigError, match="'input_size'.*line 2"):
+            load_checkpoint(str(p))
 
     def test_duplicate_names_rejected_on_save(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -28,12 +28,22 @@ CONV_CASES = [
     dict(n=2, ci=3, co=4, h=7, w=9, k=3, stride=2, pad=1, groups=1),
     dict(n=1, ci=3, co=2, h=4, w=5, k=1, stride=1, pad=1, groups=1),
     dict(n=3, ci=2, co=3, h=5, w=4, k=3, stride=1, pad=1, groups=1),
+    # depthwise path: batches, tile edges, padding and strides; kw sets a
+    # kernel width other than k
+    dict(n=3, ci=4, co=4, h=6, w=7, k=3, stride=1, pad=1, groups=4),
+    dict(n=2, ci=3, co=3, h=4, w=4, k=9, stride=1, pad=4, groups=3),
+    dict(n=2, ci=2, co=2, h=5, w=19, k=7, stride=1, pad=3, groups=2),
+    dict(n=2, ci=3, co=3, h=6, w=20, k=3, stride=1, pad=0, groups=3),
+    dict(n=2, ci=2, co=2, h=7, w=9, k=3, stride=2, pad=1, groups=2),
+    dict(n=2, ci=3, co=3, h=6, w=8, k=2, stride=2, pad=0, groups=3),
+    dict(n=2, ci=2, co=2, h=5, w=20, k=3, kw=5, stride=1, pad=1, groups=2),
 ]
 
 
 def conv_case_arrays(rng, case):
     x = rng.standard_normal((case["n"], case["ci"], case["h"], case["w"]))
-    w = rng.standard_normal((case["co"], case["ci"] // case["groups"], case["k"], case["k"]))
+    w = rng.standard_normal((case["co"], case["ci"] // case["groups"], case["k"],
+                             case.get("kw", case["k"])))
     return x, w, rng.standard_normal(case["co"])
 
 
@@ -74,6 +84,16 @@ class TestConv2d:
         err = T.gradcheck(lambda x_, w_, b_: T.tsum(T.mul(T.conv2d(x_, w_, b_, *args), r)),
                           [t(x), t(w), t(b)])
         assert err <= 1e-5
+
+    @pytest.mark.parametrize("k,stride,pad,h,w", [(9, 1, 4, 10, 20), (3, 2, 1, 11, 21),
+                                                  (2, 2, 0, 10, 20)])
+    def test_depthwise_mac_tally_is_analytic(self, k, stride, pad, h, w):
+        # the tally counts the conv's own MACs, not the banded GEMMs' work
+        x = t(np.ones((2, 6, h, w)), "f32")
+        with T.count_macs() as counter:
+            out = T.conv2d(x, t(np.ones((6, 1, k, k)), "f32"), stride=stride, pad=pad, groups=6)
+        n, c, ho, wo = out.shape
+        assert counter.by_op == {"conv2d": n * ho * wo * c * k * k}
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -301,5 +321,18 @@ class TestDeterminism:
             out = T.gelu(out)
             out = T.pool2d(out, "max", 2)
             return out.data.tobytes()
+
+        assert run() == run()
+
+    def test_depthwise_f32_forward_and_gradients_bitwise_repeatable(self):
+        def run():
+            rng = np.random.default_rng(7)
+            x = Tensor(rng.standard_normal((2, 8, 19, 21)), requires_grad=True, dtype="f32")
+            w = Tensor(rng.standard_normal((8, 1, 7, 7)), requires_grad=True, dtype="f32")
+            r = Tensor(rng.standard_normal((2, 8, 19, 21)), dtype="f32")
+            with T.record():
+                out = T.conv2d(x, w, pad=3, groups=8)
+                T.backward(T.tsum(T.mul(out, r)))
+            return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
