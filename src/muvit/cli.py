@@ -31,6 +31,16 @@ def _parse_kernels(text):
     return parts
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_model_flags(p):
     p.add_argument("--variant", choices=("base", "large"), default="base")
     p.add_argument("--size", type=int, default=256, help="input size (divisible by 32)")
@@ -219,7 +229,7 @@ def make_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--batch", type=_positive_int, default=8)
     p.add_argument("--json", help="write the per-sample report here")
     p.set_defaults(fn=cmd_eval)
 
@@ -230,8 +240,8 @@ def make_parser():
 
     p = sub.add_parser("bench", help="local forward latency")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--iters", type=_positive_int, default=10)
+    p.add_argument("--batch", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

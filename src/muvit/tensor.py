@@ -27,6 +27,16 @@ from the diagonal sums of tiles^T @ d(out) and d(x) from d(out) times the
 transposed band, scatter-added back over the overlapping tile columns. The
 tape keeps only the input; the tiles are rebuilt in the backward pass.
 
+GELU keeps its exact-erf form x * Phi(x). In f32, Phi comes from the
+single-region Numerical Recipes `erfcc` approximation of erfc (fractional
+error below 1.2e-7), evaluated on |x| and reflected by the sign of x with
+arithmetic, over 64K-element chunks; when recorded, the same pass stores
+dGELU/dx, so the backward pass is one multiply. Only f64 GELU calls scipy's
+erf. BatchNorm takes its statistics from contiguous reductions on the
+[N, C, H*W] view, bitwise equal to mean/var over axes (0, 2, 3). Max-pool is
+a running np.maximum over the k*k strided window views; its backward sends
+d(out) to the first row-major maximum of each window.
+
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
 """
@@ -427,18 +437,83 @@ def sigmoid(x):
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Numerical Recipes `erfcc` (Press et al., Numerical Recipes, 2nd ed., 6.2):
+# for z >= 0, erfc(z) = t * exp(-z*z + sum_i c_i t^i) with t = 1 / (1 + z/2),
+# fractional error below 1.2e-7 everywhere. With z = |x|/sqrt(2) the upper
+# normal tail is Q(|x|) = erfc(z)/2 = t * exp(-x*x/2 + sum_i c_i t^i - ln 2),
+# t = 1 / (1 + |x|/(2 sqrt 2)); the -ln 2 is folded into c_0.
+_ERFCC = tuple(np.float32(c) for c in (
+    -1.26551223 - math.log(2.0), 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277))
+_TWO_SQRT2 = np.float32(2.0 * _SQRT2)
+_GELU_CHUNK = 1 << 16
+
+
+def _gelu_f32(d, need_grad):
+    """f32 GELU x * Phi(x) = max(x, 0) - |x| Q(|x|) with Q from `erfcc`,
+    and, if need_grad, dGELU/dx = Phi(x) + x phi(x) = 1/2 + sign(x) *
+    (1/2 - Q(|x|) + |x| phi(x)). Runs over 64K-element chunks, so every
+    intermediate stays in cache, and writes into preallocated buffers."""
+    xs = d.reshape(-1)
+    out = np.empty(d.shape, np.float32)
+    dg = np.empty(d.shape, np.float32) if need_grad else None
+    outs = out.reshape(-1)
+    dgs = dg.reshape(-1) if need_grad else None
+    size = xs.size
+    bufs = np.empty((3, min(size, _GELU_CHUNK)), np.float32)
+    for s in range(0, size, _GELU_CHUNK):
+        x = xs[s:s + _GELU_CHUNK]
+        o = outs[s:s + _GELU_CHUNK]
+        a, t, q = bufs[:, :x.size]
+        np.abs(x, out=a)
+        np.add(a, _TWO_SQRT2, out=t)
+        np.divide(_TWO_SQRT2, t, out=t)
+        np.multiply(t, _ERFCC[9], out=q)
+        for c in _ERFCC[8:0:-1]:
+            q += c
+            q *= t
+        q += _ERFCC[0]
+        np.multiply(a, a, out=o)
+        o *= np.float32(-0.5)
+        q += o
+        if need_grad:
+            dx = dgs[s:s + _GELU_CHUNK]
+            np.exp(o, out=dx)
+        np.exp(q, out=q)
+        q *= t                                  # Q(|x|)
+        if need_grad:
+            dx *= a
+            dx *= np.float32(_INV_SQRT_2PI)     # |x| phi(x)
+            dx -= q
+            dx += np.float32(0.5)
+            np.copysign(dx, x, out=dx)
+            dx += np.float32(0.5)
+        np.maximum(x, np.float32(0.0), out=o)
+        q *= a
+        o -= q
+    return out, dg
+
 
 def gelu(x):
-    """Exact-erf GELU: x * Phi(x)."""
+    """Exact-erf GELU (Hendrycks & Gimpel, 2016): x * Phi(x), Phi the
+    standard normal CDF.
+
+    f32 evaluates Phi(x) = erfc(-x/sqrt(2))/2 with the single-region
+    Numerical Recipes `erfcc` approximation (fractional error of erfc below
+    1.2e-7), on |x| and reflected by the sign of x, in 64K-element chunks
+    (_gelu_f32); only f64 calls scipy's erf. When the op is recorded and x
+    requires a gradient, the forward also stores dGELU/dx = Phi(x) + x phi(x),
+    so the backward pass is one multiply; otherwise no derivative is computed.
+    """
     d = x.data
-    cdf = 0.5 * (1.0 + erf(d / _SQRT2))
-    out = d * cdf
-
-    def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-        return (g * (cdf + d * pdf),)
-
-    return _out("gelu", (x,), out.astype(d.dtype), bwd)
+    need_grad = _GRAPH is not None and x.requires_grad
+    if d.dtype == np.float32:
+        out, dg = _gelu_f32(d, need_grad)
+    else:
+        cdf = 0.5 * (1.0 + erf(d / _SQRT2))
+        out = d * cdf
+        dg = cdf + d * (_INV_SQRT_2PI * np.exp(-0.5 * d * d)) if need_grad else None
+    return _out("gelu", (x,), out, lambda g: (g * dg,))
 
 
 def softmax(x):
@@ -801,8 +876,12 @@ def conv_transpose2d(x, w, b=None, stride=2):
 def pool2d(x, kind, k, stride=None):
     """Non-overlapping max/avg pooling (k == stride); H, W must divide by k.
 
-    Max-pool backward routes the gradient to the first (row-major) maximal
-    element of each window.
+    Max-pool's forward is a running np.maximum over the k*k strided views
+    x[..., i::k, j::k], with no copy of the windows. Its backward routes the
+    gradient to the first (row-major) maximal element of each window: offsets
+    are visited in row-major order, and each takes the windows where it
+    equals the output and no earlier offset did. The tape keeps only x and
+    the output.
     """
     stride = k if stride is None else stride
     if stride != k:
@@ -821,15 +900,32 @@ def pool2d(x, kind, k, stride=None):
 
         return _out("avgpool", (x,), out, bwd)
     if kind == "max":
-        flat = r.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        out = r[:, :, :, 0, :, 0].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    # np.maximum returns its second operand on ties, which
+                    # keeps the first maximum's bits when +0.0 meets -0.0
+                    np.maximum(r[:, :, :, i, :, j], out, out=out)
 
         def bwd(g):
-            gf = np.zeros_like(flat)
-            np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
-            gx = gf.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
-            return (np.ascontiguousarray(gx).reshape(n, c, h, w),)
+            # g goes through an all-ones or all-zeros bit mask, so every
+            # position but the first maximum gets +0.0 whatever the sign of g
+            bits = np.dtype(f"u{x.data.itemsize}")
+            gb = g.astype(x.data.dtype, copy=False).view(bits)
+            xv = x.data.reshape(n, c, ho, k, wo, k)
+            gx = np.empty(x.shape, dtype=x.data.dtype)
+            gv = gx.reshape(n, c, ho, k, wo, k).view(bits)
+            free = np.ones(out.shape, dtype=bool)
+            mask = np.empty(out.shape, dtype=bits)
+            for i in range(k):
+                for j in range(k):
+                    hit = xv[:, :, :, i, :, j] == out
+                    hit &= free
+                    np.subtract(0, hit, out=mask, dtype=bits)    # 0 - 1 sets every bit
+                    np.bitwise_and(gb, mask, out=gv[:, :, :, i, :, j])
+                    free ^= hit
+            return (gx,)
 
         return _out("maxpool", (x,), out, bwd)
     raise ConfigError(f"unknown pool kind '{kind}'")
@@ -886,15 +982,29 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     """Per-channel batch norm over N*H*W.
 
     `running` is a (mean, var) pair of raw arrays updated in place in train
-    mode; eval mode normalizes with them instead of batch statistics.
+    mode; eval mode normalizes with them instead of batch statistics. The
+    statistics are contiguous reductions on the [N, C, H*W] view,
+    r.sum(axis=2).sum(axis=0) / m and the same on the centred squares, which
+    is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
+    once into xhat, scales it in place and writes the affine into the output
+    with out=; the backward takes d(gamma) and d(beta) from the same
+    contiguous reductions.
     """
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ConfigError(f"batchnorm2d: affine params sized {gamma.shape} for {c} channels")
+    if not training and running is None:
+        raise ConfigError("batchnorm2d eval mode needs running statistics")
     d = x.data
+    m = n * h * w
+    r = d.reshape(n, c, h * w)
+    mu = r.sum(axis=2).sum(axis=0) / m if training else running[0]
+    xhat = r - mu[:, None]
+    out = np.empty(x.shape, d.dtype)
+    o = out.reshape(n, c, h * w)
     if training:
-        mu = d.mean(axis=(0, 2, 3))
-        var = d.var(axis=(0, 2, 3))
+        np.multiply(xhat, xhat, out=o)
+        var = o.sum(axis=2).sum(axis=0) / m
         if running is not None:
             rm, rv = running
             rm *= 1.0 - momentum
@@ -902,25 +1012,29 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
             rv *= 1.0 - momentum
             rv += momentum * var
     else:
-        if running is None:
-            raise ConfigError("batchnorm2d eval mode needs running statistics")
-        mu, var = running[0], running[1]
+        var = running[1]
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mu[:, None, None]) * invstd[:, None, None]
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
-    m = n * h * w
+    xhat *= invstd[:, None]
+    np.multiply(xhat, gamma.data[:, None], out=o)
+    o += beta.data[:, None]
 
     def bwd(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
+        g3 = g.reshape(n, c, h * w)
+        dbeta = g3.sum(axis=2).sum(axis=0)
+        gx = g3 * xhat
+        dgamma = gx.sum(axis=2).sum(axis=0)
+        k = gamma.data * invstd
         if training:
-            gx = (gamma.data * invstd / m)[:, None, None] * (
-                m * g - xhat * dgamma[:, None, None] - dbeta[:, None, None])
+            # gx = k * (g - xhat * dgamma/m - dbeta/m)
+            np.multiply(xhat, (dgamma / m)[:, None], out=gx)
+            np.subtract(g3, gx, out=gx)
+            gx -= (dbeta / m)[:, None]
+            gx *= k[:, None]
         else:
-            gx = g * (gamma.data * invstd)[:, None, None]
-        return gx.astype(d.dtype, copy=False), dgamma, dbeta
+            np.multiply(g3, k[:, None], out=gx)
+        return gx.reshape(x.shape).astype(d.dtype, copy=False), dgamma, dbeta
 
-    return _out("batchnorm2d", (x, gamma, beta), out.astype(d.dtype, copy=False), bwd)
+    return _out("batchnorm2d", (x, gamma, beta), out, bwd)
 
 
 def layernorm(x, gamma, beta, eps=1e-6):

@@ -151,6 +151,18 @@ def op_checks(seed=0):
         return gradcheck(lambda x_, g_, b_: p(T.batchnorm2d(x_, g_, b_, None, training=True)),
                          [x, g, b])
 
+    @check("batchnorm2d_eval")
+    def _(seed=seed):
+        rng = _rng(seed)
+        x = _f64(rng, (2, 3, 4, 4))
+        g = _f64(rng, (3,), 0.3)
+        g.data += 1.0
+        b = _f64(rng, (3,), 0.2)
+        running = (rng.standard_normal(3) * 0.5, 1.0 + rng.random(3))
+        p = _proj(rng, (2, 3, 4, 4))
+        return gradcheck(lambda x_, g_, b_: p(T.batchnorm2d(x_, g_, b_, running, training=False)),
+                         [x, g, b])
+
     @check("layernorm")
     def _(seed=seed):
         rng = _rng(seed)

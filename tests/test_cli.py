@@ -123,5 +123,19 @@ class TestUsageErrors:
             run_cli(["build", "--variant", "base"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["bench", "--ckpt", "m.ckpt", "--iters", "0"], "--iters"),
+        (["bench", "--ckpt", "m.ckpt", "--iters", "-1"], "--iters"),
+        (["bench", "--ckpt", "m.ckpt", "--batch", "0"], "--batch"),
+        (["bench", "--ckpt", "m.ckpt", "--batch", "two"], "--batch"),
+        (["eval", "--ckpt", "m.ckpt", "--data", "ds", "--batch", "0"], "--batch"),
+    ])
+    def test_nonpositive_counts_exit_2_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "positive integer" in err
+
     def test_bad_size_is_runtime_error(self, capsys):
         assert run_cli(["count", "--variant", "base", "--size", "100"]) == 1

@@ -1,8 +1,11 @@
 """Forward-value tests for the tensor ops, against hand-derived and
 brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf, erfc
 
 from muvit import tensor as T
 from muvit.tensor import ConfigError, Tensor
@@ -151,6 +154,35 @@ class TestPool2d:
         with pytest.raises(ConfigError):
             T.pool2d(t(np.ones((1, 1, 3, 3))), "max", 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_bitwise_equal_to_first_occurrence_reference(self, rng, k, dtype):
+        # few distinct values, with +0.0 and -0.0 mixed, so most windows tie
+        x = rng.integers(-2, 3, (3, 4, 4 * k, 5 * k)).astype(dtype)
+        zeros = x == 0
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        g = rng.standard_normal((3, 4, 4, 5)).astype(dtype)
+        g[0, 0, 0, :2] = [-0.0, 0.0]
+        ref_out = np.empty(g.shape, dtype)
+        ref_gx = np.zeros(x.shape, dtype)
+        for idx in np.ndindex(*g.shape):
+            n, c, oy, ox = idx
+            win = x[n, c, oy * k:(oy + 1) * k, ox * k:(ox + 1) * k]
+            best = None
+            for i in range(k):
+                for j in range(k):
+                    if best is None or win[i, j] > win[best]:
+                        best = (i, j)
+            ref_out[idx] = win[best]
+            ref_gx[n, c, oy * k + best[0], ox * k + best[1]] = g[idx]
+        xt = Tensor(x, requires_grad=True)
+        with T.record():
+            out = T.pool2d(xt, "max", k)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+        assert out.data.dtype == dtype and xt.grad.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_gx.tobytes()
+
 
 class TestBilinearUpsample:
     def test_constant(self):
@@ -210,6 +242,42 @@ class TestNorms:
             T.batchnorm2d(t(np.ones((1, 3, 2, 2))), t(np.ones(2)), t(np.zeros(2)),
                           None, training=True)
 
+    @staticmethod
+    def _bn_reference(d, gamma, beta, running, eps, momentum, training):
+        if training:
+            mu = d.mean(axis=(0, 2, 3))
+            var = d.var(axis=(0, 2, 3))
+            rm, rv = running
+            rm *= 1.0 - momentum
+            rm += momentum * mu
+            rv *= 1.0 - momentum
+            rv += momentum * var
+        else:
+            mu, var = running
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat = (d - mu[:, None, None]) * invstd[:, None, None]
+        return gamma[:, None, None] * xhat + beta[:, None, None]
+
+    @pytest.mark.parametrize("shape", [(8, 16, 64, 64), (8, 64, 16, 16), (8, 128, 2, 2),
+                                       (1, 16, 32, 32), (3, 5, 7, 9), (2, 3, 1, 1)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bn_f32_bitwise_equal_to_mean_var_formula(self, rng, shape, training):
+        c = shape[1]
+        d = (rng.standard_normal(shape) * 3.0 + 0.7).astype(np.float32)
+        gamma = (1.0 + 0.2 * rng.standard_normal(c)).astype(np.float32)
+        beta = (0.3 * rng.standard_normal(c)).astype(np.float32)
+        start = ((0.1 * rng.standard_normal(c)).astype(np.float32),
+                 (1.0 + rng.random(c)).astype(np.float32))
+        ref_running = tuple(a.copy() for a in start)
+        running = tuple(a.copy() for a in start)
+        ref = self._bn_reference(d, gamma, beta, ref_running, 1e-5, 0.1, training)
+        out = T.batchnorm2d(Tensor(d), Tensor(gamma), Tensor(beta), running,
+                            training=training)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == ref.tobytes()
+        assert running[0].tobytes() == ref_running[0].tobytes()
+        assert running[1].tobytes() == ref_running[1].tobytes()
+
     def test_ln_constant_token_zeros(self):
         x = t(np.full((2, 5, 8), 3.3))
         out = T.layernorm(x, t(np.ones(8)), t(np.zeros(8)))
@@ -234,6 +302,57 @@ class TestActivations:
     def test_gelu_at_one(self):
         # x * Phi(x) at 1: Phi(1) = 0.8413447 from the standard normal CDF
         assert abs(T.gelu(t([1.0])).data[0] - 0.841345) < 1e-5
+
+    def test_gelu_f32_fixed_points(self):
+        out = T.gelu(Tensor(np.array([0.0, 20.0, -20.0], np.float32))).data
+        assert out.dtype == np.float32
+        assert out[0] == 0.0 and out[1] == 20.0 and out[2] == 0.0
+
+    def test_gelu_f32_dense_grid_against_f64(self):
+        # 3M points over [-12, 12]: the erfc approximation is no less
+        # accurate than scipy's erf in f32, and so is its derivative
+        x = np.linspace(-12.0, 12.0, 3_000_001).astype(np.float32)
+        x64 = x.astype(np.float64)
+        cdf = 0.5 * erfc(-x64 / math.sqrt(2.0))
+        xt = Tensor(x, requires_grad=True)
+        with T.record():
+            y = T.gelu(xt)
+            T.backward(T.tsum(y))
+        assert y.data.dtype == np.float32 and xt.grad.dtype == np.float32
+        err = np.abs(y.data - x64 * cdf).max()
+        scipy_f32 = x * (0.5 * (1.0 + erf(x / np.float32(math.sqrt(2.0)))))
+        assert scipy_f32.dtype == np.float32
+        assert err <= np.abs(scipy_f32 - x64 * cdf).max()
+        dref = cdf + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
+        assert np.abs(xt.grad - dref).max() <= 5e-7
+
+    def test_gelu_f32_across_chunks(self, rng):
+        # longer than two chunks, not a multiple of the chunk: each element
+        # gets the value it gets on its own
+        n = 2 * T._GELU_CHUNK + 12345
+        x = (rng.standard_normal(n) * 4.0).astype(np.float32)
+        whole = T.gelu(Tensor(x)).data
+        single = np.concatenate([T.gelu(Tensor(x[i:i + 1000])).data
+                                 for i in range(0, n, 1000)])
+        assert whole.tobytes() == single.tobytes()
+        x64 = x.astype(np.float64)
+        np.testing.assert_allclose(whole, x64 * 0.5 * erfc(-x64 / math.sqrt(2.0)),
+                                   rtol=0, atol=5e-7)
+
+    def test_gelu_f32_bitwise_repeatable_and_same_with_or_without_tape(self, rng):
+        x = (rng.standard_normal((4, 8, 33, 17)) * 3.0).astype(np.float32)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            with T.record():
+                y = T.gelu(xt)
+                T.backward(T.tsum(y))
+            return y.data.tobytes(), xt.grad.tobytes()
+
+        first = run()
+        assert first == run()
+        with T.no_grad():
+            assert T.gelu(Tensor(x, requires_grad=True)).data.tobytes() == first[0]
 
     def test_softmax_rows_sum_to_one(self, rng):
         x = t(rng.standard_normal((4, 7, 9)) * 3)
