@@ -5,8 +5,10 @@ reproduce tensors, and dataset generation is a pure function of
 (seed, index).
 """
 
+import contextlib
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -146,7 +148,6 @@ def write_mask(path, mask):
 
 def save_dataset(samples, out_dir):
     """images/NNNN.ppm + masks/NNNN.pgm, index-ordered."""
-    import os
     img_dir = os.path.join(out_dir, "images")
     msk_dir = os.path.join(out_dir, "masks")
     os.makedirs(img_dir, exist_ok=True)
@@ -157,7 +158,6 @@ def save_dataset(samples, out_dir):
 
 
 def load_dataset(data_dir):
-    import os
     img_dir = os.path.join(data_dir, "images")
     msk_dir = os.path.join(data_dir, "masks")
     if not os.path.isdir(img_dir) or not os.path.isdir(msk_dir):
@@ -340,7 +340,10 @@ def doc_from_model_config(cfg, seed=0, schedule="poly", lr0=0.01, epochs=300, ba
 
 
 def save_checkpoint(path, doc, tensors, optimizer_state=None):
-    """tensors: ordered {name: array}; optimizer_state: extra named arrays."""
+    """tensors: ordered {name: array}; optimizer_state: extra named arrays.
+
+    path is replaced whole or not at all: a failed save leaves an existing
+    file as it was and no temp file behind."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -366,8 +369,19 @@ def save_checkpoint(path, doc, tensors, optimizer_state=None):
         for d in arr.shape:
             buf.write(struct.pack("<Q", d))
         buf.write(arr.astype(_DTYPE_CODES[code], copy=False).tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    # write a temp file next to path, sync it and rename it over path, so
+    # that path holds either its old bytes or all of the new ones
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf.getbuffer())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

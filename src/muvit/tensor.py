@@ -12,10 +12,15 @@ flat padded buffer: the input is zero-padded once into a channel-major
 [Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM against that
 buffer shifted by i*Wp + j, accumulated into the output; windows that wrap
 into the next row or image land only in the margin that is cropped away.
-The backward pass places d(out) on the same grid and runs the same shifted
-GEMMs for the weight gradient and, scattered back, for the input gradient.
-The tape keeps the padded buffer, about the size of the input, and no
-im2col copy.
+The columns are cut into equal blocks of at most 2^17 / max(Co/g, Ci/g), so
+that a block of the input, the output and the per-tap product stay in L2
+cache across the taps; each output still sums its taps in row-major order,
+so the f32 result is bitwise that of one whole-span GEMM per tap. The
+backward pass places d(out) once on the same grid, behind (kh-1)*Wp + (kw-1)
+leading zeros: d(w) takes the per-tap GEMMs over the same blocks, and d(x)
+is the same blocked forward run on that buffer with the flipped kernel,
+transposed per group. The tape keeps the padded buffer, about the size of
+the input, and no im2col copy.
 
 Depthwise convs run as banded GEMMs on width tiles: the input is zero-padded
 once into channel-major tiles [C, Hp, N, nb, b+kw-1], each covering
@@ -600,68 +605,92 @@ def _conv_out_size(size, k, stride, pad):
     return num // stride + 1
 
 
-def _to_grid(a, hp, wp, top, step):
-    """[N, C, h, w] -> channel-major flat buffer [C, N*hp*wp] of zeros holding
-    a[n, c] from row and column `top` on, every `step` rows and columns."""
+def _to_grid(a, hp, wp, top, step, lead=0):
+    """[N, C, h, w] -> channel-major flat buffer [C, lead + N*hp*wp] of zeros
+    holding a[n, c] from row and column `top` on, every `step` rows and
+    columns, after `lead` leading zero columns."""
     n, c, h, w = a.shape
-    buf = np.zeros((c, n, hp, wp), dtype=a.dtype)
-    buf[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step] = \
+    buf = np.zeros((c, lead + n * hp * wp), dtype=a.dtype)
+    grid = buf[:, lead:].reshape(c, n, hp, wp)
+    grid[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step] = \
         a.transpose(1, 0, 2, 3)
-    return buf.reshape(c, n * hp * wp)
+    return buf
 
 
 def _from_grid(buf, n, hp, wp, top, step, h, w):
-    """Inverse of _to_grid: read [N, C, h, w] back out of the flat buffer."""
-    grid = buf.reshape(buf.shape[0], n, hp, wp)
+    """Inverse of _to_grid: read [N, C, h, w] back out of the first N*hp*wp
+    columns of the flat buffer."""
+    grid = buf[:, :n * hp * wp].reshape(buf.shape[0], n, hp, wp)
     return np.ascontiguousarray(
         grid[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step]
         .transpose(1, 0, 2, 3))
 
 
+# Column blocks of the flat grid hold at most _BLOCK elements per channel
+# slab (512 KB in f32), so that one block of the input, the output and the
+# per-tap product stay in L2 cache across the kernel taps.
+_BLOCK = 1 << 17
+
+
+def _dense_blocks(w, groups, wp, m):
+    """Column blocks [(q, l)] of a dense conv on a flat grid of m columns and
+    row width wp: its span = m - (kh-1)*wp - (kw-1) output columns cut into
+    blocks of equal width up to _BLOCK // max(Co/g, Ci/g), the last at most a
+    few columns narrower."""
+    co, cig, kh, kw = w.shape
+    span = m - (kh - 1) * wp - (kw - 1)
+    nblocks = -(-span // (_BLOCK // max(co // groups, cig)))
+    width = -(-span // nblocks)
+    return [(q, min(width, span - q)) for q in range(0, span, width)]
+
+
 def _dense_fwd(xf, w, groups, wp):
-    """Stride-1 grouped correlation on the flat padded buffer, one GEMM per tap.
+    """Stride-1 grouped correlation on the flat padded buffer, one GEMM per
+    tap and column block.
 
     out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span; the
     positions whose window wraps into the next row or image lie in the margin
-    that the caller crops away.
+    that the caller crops away. Every output column sums its taps in
+    row-major order whatever the blocking, so the result is bitwise that of
+    one whole-span GEMM per tap.
     """
     co, cig, kh, kw = w.shape
     cog = co // groups
-    m = xf.shape[1]
-    span = m - (kh - 1) * wp - (kw - 1)
-    out = np.zeros((co, m), dtype=xf.dtype)
-    tmp = np.empty((cog, span), dtype=xf.dtype)
+    blocks = _dense_blocks(w, groups, wp, xf.shape[1])
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    out = np.zeros((co, xf.shape[1]), dtype=xf.dtype)
+    tmp = np.empty((cog, blocks[0][1]), dtype=xf.dtype)
     for gi in range(groups):
         o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
-        for i in range(kh):
-            for j in range(kw):
-                off = i * wp + j
-                np.matmul(w[o, :, i, j], xf[c, off:off + span], out=tmp)
-                out[o, :span] += tmp
+        for q, l in blocks:
+            acc, t = out[o, q:q + l], tmp[:, :l]
+            for i in range(kh):
+                for j in range(kw):
+                    off = q + i * wp + j
+                    np.matmul(wt[i, j, o], xf[c, off:off + l], out=t)
+                    acc += t
     return out
 
 
-def _dense_bwd(gs, xf, w, groups, wp, need_x):
-    """Gradients of _dense_fwd: gs is d(out) on the same flat grid, zero in
-    the margin. Returns (d(w), d(xf) or None)."""
+def _dense_wgrad(gs, xf, w, groups, wp):
+    """d(w) of _dense_fwd, with gs = d(out) on the same flat grid, zero in
+    the margin: per column block and tap, gs[:, q:q+l] @ xf[:, q+off:q+off+l].T
+    accumulated over the blocks of _dense_fwd."""
     co, cig, kh, kw = w.shape
     cog = co // groups
-    m = xf.shape[1]
-    span = m - (kh - 1) * wp - (kw - 1)
-    gw = np.empty((kh, kw, co, cig), dtype=xf.dtype)
-    gxf = np.zeros((cig * groups, m), dtype=xf.dtype) if need_x else None
-    tmp = np.empty((cig, span), dtype=xf.dtype)
+    blocks = _dense_blocks(w, groups, wp, xf.shape[1])
+    gw = np.zeros((kh, kw, co, cig), dtype=xf.dtype)
+    tmp = np.empty((cog, cig), dtype=xf.dtype)
     for gi in range(groups):
         o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
-        go = gs[o, :span]
-        for i in range(kh):
-            for j in range(kw):
-                off = i * wp + j
-                gw[i, j, o] = go @ xf[c, off:off + span].T
-                if need_x:
-                    np.matmul(w[o, :, i, j].T, go, out=tmp)
-                    gxf[c, off:off + span] += tmp
-    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1)), gxf
+        for q, l in blocks:
+            go = gs[o, q:q + l]
+            for i in range(kh):
+                for j in range(kw):
+                    off = q + i * wp + j
+                    np.matmul(go, xf[c, off:off + l].T, out=tmp)
+                    gw[i, j, o] += tmp
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
 _DW_TILE = 16
@@ -767,12 +796,17 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     1x1 kernels give a pointwise conv. Every other conv takes the dense path:
     x is padded once into the flat buffer xf = [Ci, N*Hp*Wp], and each tap
     (i, j) adds w[:, :, i, j] @ xf[:, off:off + L] to the output, with
-    off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1); the result is cropped
-    to [:Ho, :Wo] (stride s keeps every s-th position of the stride-1 result),
-    and groups run one after another through the same loop. The backward pass
-    keeps xf, places d(out) on the same grid, takes d(w) per tap as
-    d(out) @ xf[:, off:off + L].T and scatter-adds w[:, :, i, j].T @ d(out)
-    into a padded d(x) that is cropped like the input.
+    off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1), one column block
+    [q, q+l) at a time (_dense_fwd); the result is cropped to [:Ho, :Wo]
+    (stride s keeps every s-th position of the stride-1 result), and groups
+    run one after another through the same loop. The backward pass keeps xf
+    and places d(out), dilated by the stride, on the same grid behind
+    (kh-1)*Wp + (kw-1) zero columns. d(w) sums d(out)[:, q:q+l] @
+    xf[:, q+off:q+off+l].T over taps and blocks (_dense_wgrad). d(x) is
+    _dense_fwd of that buffer with w flipped in both kernel axes and
+    transposed to [Ci, Co/g] per group, cropped like the input; the lead
+    makes it a full correlation, and shifts that run into the previous row
+    or image read only the zero margin.
 
     Depthwise convs take the tiled path (_dw_fwd/_dw_bwd): x is padded once
     into width tiles [Ci, Hp, N, nb, b+kw-1] with b = min(16, Wo1) for the
@@ -822,9 +856,17 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         elif depthwise:
             gw, gx = _dw_bwd(g, x.data, w.data, stride, pad, x.requires_grad)
         else:
-            gs = _to_grid(g, hp, wp, 0, stride)
-            gw, gxf = _dense_bwd(gs, xf, w.data, groups, wp, x.requires_grad)
-            gx = _from_grid(gxf, n, hp, wp, pad, 1, h, wdt) if x.requires_grad else None
+            lead = (kh - 1) * wp + (kw - 1)
+            gs = _to_grid(g, hp, wp, 0, stride, lead)
+            gw = _dense_wgrad(gs[:, lead:], xf, w.data, groups, wp)
+            gx = None
+            if x.requires_grad:
+                wf = w.data.reshape(groups, co // groups, cig, kh, kw).transpose(0, 2, 1, 3, 4)
+                gxf = _dense_fwd(gs, wf.reshape(ci, co // groups, kh, kw)[:, :, ::-1, ::-1],
+                                 groups, wp)
+                # freed before the crop, which would otherwise hold a third grid
+                del gs
+                gx = _from_grid(gxf, n, hp, wp, pad, 1, h, wdt)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

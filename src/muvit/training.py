@@ -233,6 +233,7 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                 history.append(rec)
                 if log_file:
                     log_file.write(json.dumps(rec) + "\n")
+                    log_file.flush()
                 step += 1
             if val_set:
                 res = evaluate(model, val_set, batch_size=batch_size)
@@ -240,6 +241,7 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                 epoch_log.append(erec)
                 if log_file:
                     log_file.write(json.dumps(erec) + "\n")
+                    log_file.flush()
                 if res.mean_iou > best_iou:
                     best_iou = res.mean_iou
                     best_epoch = epoch

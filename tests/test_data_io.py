@@ -313,6 +313,45 @@ class TestCheckpoint:
                             {"a": np.zeros(2, dtype=np.float32)})
 
 
+    def test_failed_write_keeps_old_checkpoint_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        import muvit.data as data
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), self._doc(cfg), self._state(build_model(cfg, seed=0)))
+        before = path.read_bytes()
+        real_open = open
+
+        class HalfWriter:
+            """File object whose write stops halfway with a full disk."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, payload):
+                payload = memoryview(payload).cast("B")
+                self.f.write(payload[:len(payload) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return HalfWriter(f) if "w" in mode else f
+
+        monkeypatch.setattr(data, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(str(path), self._doc(cfg, seed=1),
+                            self._state(build_model(cfg, seed=1)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
 class TestSample:
     def test_rejects_bad_spatial(self):
         with pytest.raises(ConfigError):

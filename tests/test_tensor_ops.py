@@ -2,6 +2,7 @@
 brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,116 @@ class TestConv2d:
     def test_nonintegral_output_rejected(self):
         with pytest.raises(ConfigError):
             T.conv2d(t(np.ones((1, 1, 6, 6))), t(np.ones((1, 1, 3, 3))), stride=2, pad=1)
+
+
+def dense_whole_span(x, w, stride, pad, groups):
+    """The dense forward as one GEMM per tap over the whole flat padded grid,
+    before its columns were blocked. conv2d must keep these f32 sums bit for
+    bit: the f32-vs-f64 training check downstream flips with last-bit changes
+    in a ReLU input."""
+    n, ci, h, wd = x.shape
+    co, cig, kh, kw = w.shape
+    cog, hp, wp = co // groups, h + 2 * pad, wd + 2 * pad
+    xf = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(1, 0, 2, 3).reshape(ci, -1)
+    span = xf.shape[1] - (kh - 1) * wp - (kw - 1)
+    out = np.zeros((co, xf.shape[1]), dtype=x.dtype)
+    for gi in range(groups):
+        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
+        for i in range(kh):
+            for j in range(kw):
+                out[o, :span] += w[o, :, i, j] @ xf[c, i * wp + j:i * wp + j + span]
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    out = out.reshape(co, n, hp, wp)[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
+    return out.transpose(1, 0, 2, 3)
+
+
+def dense_reference(x, w, g, stride, pad, groups):
+    """(out, d(x), d(w)) of a grouped conv for d(out) = g, one kernel tap at
+    a time over the zero-padded input."""
+    n, ci, h, wd = x.shape
+    co, cig, kh, kw = w.shape
+    cog, ho, wo = co // groups, g.shape[2], g.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).reshape(n, groups, cig, h + 2 * pad, -1)
+    wg = w.reshape(groups, cog, cig, kh, kw)
+    gg = g.reshape(n, groups, cog, ho, wo)
+    out, gxp, gw = np.zeros(gg.shape), np.zeros(xp.shape), np.zeros(wg.shape)
+    for i in range(kh):
+        for j in range(kw):
+            win = (Ellipsis, slice(i, i + (ho - 1) * stride + 1, stride),
+                   slice(j, j + (wo - 1) * stride + 1, stride))
+            out += np.einsum("goc,ngcyx->ngoyx", wg[..., i, j], xp[win], optimize=True)
+            gxp[win] += np.einsum("goc,ngoyx->ngcyx", wg[..., i, j], gg, optimize=True)
+            gw[..., i, j] = np.einsum("ngoyx,ngcyx->goc", gg, xp[win], optimize=True)
+    gx = gxp.reshape(n, ci, h + 2 * pad, -1)[:, :, pad:pad + h, pad:pad + wd]
+    return out.reshape(n, co, ho, wo), gx, gw.reshape(w.shape)
+
+
+# (n, ci, co, h, w, k, stride, pad, groups); each spans at least 2 column blocks
+DENSE_MULTIBLOCK_CASES = [
+    (2, 64, 8, 40, 40, 3, 1, 1, 1),
+    (2, 32, 16, 65, 65, 3, 2, 1, 2),
+    (1, 32, 16, 64, 64, 5, 1, 2, 1),
+    (2, 48, 24, 45, 45, 3, 2, 1, 1),
+]
+
+
+class TestDenseConv:
+    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad,groups", [
+        (8, 3, 16, 64, 64, 3, 1, 1, 1),      # stem, train64
+        (1, 3, 16, 256, 256, 3, 1, 1, 1),    # stem, eval256
+        (8, 32, 32, 64, 64, 3, 1, 1, 1),     # dec5, train64
+        (2, 64, 8, 40, 40, 3, 1, 1, 1),      # several column blocks
+        (2, 8, 8, 33, 33, 3, 2, 1, 2),       # grouped, stride 2
+        (1, 32, 16, 64, 64, 5, 1, 2, 1),     # 5x5 kernel
+    ])
+    def test_f32_forward_bitwise_equal_to_whole_span_gemms(self, n, ci, co, h, w, k, stride,
+                                                           pad, groups):
+        rng = np.random.default_rng(h * w + ci)
+        x = rng.standard_normal((n, ci, h, w)).astype(np.float32)
+        wt = (rng.standard_normal((co, ci // groups, k, k)) * 0.2).astype(np.float32)
+        out = T.conv2d(Tensor(x, dtype="f32"), Tensor(wt, dtype="f32"), stride=stride, pad=pad,
+                       groups=groups).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, dense_whole_span(x, wt, stride, pad, groups))
+
+    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad,groups", DENSE_MULTIBLOCK_CASES)
+    def test_multiblock_f64_forward_and_gradients_against_reference(
+            self, n, ci, co, h, w, k, stride, pad, groups):
+        rng = np.random.default_rng(ci * co + k)
+        hp, wp = h + 2 * pad, w + 2 * pad
+        assert len(T._dense_blocks(np.empty((co, ci // groups, k, k)), groups, wp,
+                                   n * hp * wp)) >= 2
+        x = Tensor(rng.standard_normal((n, ci, h, w)), requires_grad=True)
+        wt = Tensor(rng.standard_normal((co, ci // groups, k, k)), requires_grad=True)
+        g = rng.standard_normal((n, co, (hp - k) // stride + 1, (wp - k) // stride + 1))
+        with T.record():
+            out = T.conv2d(x, wt, stride=stride, pad=pad, groups=groups)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+        ref_out, ref_gx, ref_gw = dense_reference(x.data, wt.data, g, stride, pad, groups)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(wt.grad, ref_gw, rtol=1e-10, atol=1e-10)
+
+    def test_backward_transient_memory(self):
+        # d(out) goes onto the grid once and is freed before d(x) is cropped
+        # out of the result, so the backward stays well under three grids
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((1, 32, 128, 128)), requires_grad=True, dtype="f32")
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)), requires_grad=True, dtype="f32")
+        g = rng.standard_normal((1, 32, 128, 128)).astype(np.float32)
+        with T.record() as graph:
+            T.conv2d(x, w, pad=1)
+        bwd = graph.nodes[-1].bwd
+        grid = 32 * 130 * 130 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gx, gw = bwd(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert peak - base <= 2.5 * grid
 
 
 class TestConvTranspose2d:

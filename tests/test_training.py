@@ -256,6 +256,24 @@ class TestTrainLoop:
         assert len(steps) == 2 and len(epochs) == 1
         assert {"step", "lr", "bce", "dice", "total"} <= set(steps[0])
 
+    def test_log_records_flushed_before_next_step(self, tmp_path, monkeypatch):
+        # a run killed during step k leaves the k step records before it,
+        # and the epoch record, on disk
+        from muvit import training
+        train, val = self._tiny()
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        log = tmp_path / "train.log"
+        on_disk = []
+        real_step = training.SGD.step
+
+        def step(opt, lr):
+            on_disk.append(len(log.read_text().splitlines()))
+            return real_step(opt, lr)
+
+        monkeypatch.setattr(training.SGD, "step", step)
+        train_loop(model, train, val, epochs=2, batch_size=4, seed=0, log_path=str(log))
+        assert on_disk == [0, 1, 3, 4]
+
     def test_nan_aborts_with_layer_name(self):
         train, val = self._tiny()
         cfg = ModelConfig.for_variant("base", input_size=64)
