@@ -81,6 +81,9 @@ def _parse_pnm(raw):
         tok = raw[start:pos]
         if not tok.isdigit():
             raise ParseError(f"non-numeric header field {tok!r}", start)
+        # no payload can hold 10^18 bytes, and int() refuses over 4300 digits
+        if len(tok) > 18:
+            raise ParseError(f"header field of {len(tok)} digits is out of range", start)
         fields.append(int(tok))
     if pos >= len(raw):
         raise ParseError("missing whitespace after maxval", pos)
@@ -428,9 +431,12 @@ def load_checkpoint(path):
         for _ in range(ndim):
             chunk, pos = need(pos, 8, f"dims of '{name}'")
             dims.append(struct.unpack("<Q", chunk)[0])
-        if math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max:
+        # numpy refuses a shape whose nonzero dims times the itemsize overflow
+        # intp, even when another dim is zero
+        itemsize = np.dtype(_DTYPE_CODES[code]).itemsize
+        if math.prod(max(d, 1) for d in dims) * itemsize > np.iinfo(np.intp).max:
             raise ParseError(f"dims {dims} of '{name}' overflow an array size", dims_pos)
-        nbytes = math.prod(dims) * np.dtype(_DTYPE_CODES[code]).itemsize
+        nbytes = math.prod(dims) * itemsize
         chunk, pos = need(pos, nbytes, f"data of '{name}'")
         arr = np.frombuffer(chunk, dtype=_DTYPE_CODES[code]).reshape(dims).copy()
         target = optim if name.startswith("optim.") else tensors

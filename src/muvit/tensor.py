@@ -7,6 +7,19 @@ plus the elementwise/reduction glue used by the loss. Every op that records
 onto the active Graph knows how to push gradients back to its inputs;
 ``backward(loss)`` replays the tape in reverse.
 
+The tape holds keys, not activations. _out stamps each recorded output with
+a serial key, and its Node keeps the op name, that key, the backward closure
+and the inputs: the Tensor itself for a leaf (a parameter, a batch input, a
+tensor from an earlier graph), a _Ref stand-in (key, shape, requires_grad)
+for an input produced on the same graph. Each closure captures only what its
+gradient rule reads: the input arrays of mul, div, matmul, linear, log,
+max-pool, conv_transpose2d and the pointwise and depthwise convs; the padded
+buffer of the dense conv; xhat of the two norms; the masks of relu and clip;
+the outputs of sigmoid, softmax and max-pool; dGELU/dx; and no more than
+shapes and dtypes for add, sub, reshape, the sums and means and avg-pool. So
+an activation that no closure reads, such as the GELU output that BatchNorm
+normalizes, is freed as soon as the forward drops it.
+
 Dense convs (every conv that is neither pointwise nor depthwise) run on a
 flat padded buffer: the input is zero-padded once into a channel-major
 [Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM against that
@@ -46,6 +59,7 @@ All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -70,7 +84,13 @@ class VerificationError(RuntimeError):
 
 
 class Tensor:
-    """N-d value array (NCHW for feature maps) with an optional gradient slot."""
+    """N-d value array (NCHW for feature maps) with an optional gradient slot.
+
+    `_key` is the serial that _out stamps on a recorded output; it stays None
+    for leaves and for unrecorded results.
+    """
+
+    _key = None
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
@@ -162,28 +182,52 @@ def _as_tensor(x, like):
 # recorded computation graph
 
 
+class _Ref:
+    """Stand-in on the tape for an input produced on the same graph: its
+    producer's key, plus the shape and requires_grad that readers of the
+    tape (the backward sweep, tracers) ask for, without pinning its data."""
+
+    __slots__ = ("key", "shape", "requires_grad")
+
+    def __init__(self, t):
+        self.key = t._key
+        self.shape = t.shape
+        self.requires_grad = t.requires_grad
+
+
 class Node:
-    """One recorded op: inputs, output, and the closure that maps d(out) to d(inputs)."""
+    """One recorded op: its inputs, the key of its output, and the closure
+    that maps d(out) to d(inputs).
 
-    __slots__ = ("op", "inputs", "output", "bwd")
+    `inputs` holds the Tensor itself for a leaf (an input not produced on
+    this graph: parameters, batch inputs, tensors from an earlier graph) and
+    a _Ref for an input produced on this graph; both expose .shape. The node
+    holds no output Tensor, so an activation lives on only if some closure
+    captured its array.
+    """
 
-    def __init__(self, op, inputs, output, bwd):
+    __slots__ = ("op", "inputs", "key", "bwd")
+
+    def __init__(self, op, inputs, key, bwd):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.key = key
         self.bwd = bwd
 
 
 class Graph:
-    """Op tape in execution order; execution order is a topological order."""
+    """Op tape in execution order, which is a topological order, and the set
+    of keys of the outputs recorded on it."""
 
     def __init__(self):
         self.nodes = []
+        self.keys = set()
 
     def __len__(self):
         return len(self.nodes)
 
 
+_SERIAL = itertools.count(1)
 _GRAPH = None
 _MACS = None
 _FINITE_CHECKS = False
@@ -195,7 +239,10 @@ def record():
 
     backward() must be called inside the same block: it reads the active
     graph, and tensors keep no reference to the graph that produced them, so
-    the tape is freed by reference counting once the block exits.
+    the tape is freed by reference counting once the block exits. While the
+    block runs, the tape pins only leaf Tensors and the arrays that backward
+    closures read (see Node); an intermediate that no closure reads is freed
+    as soon as the forward drops it.
     """
     global _GRAPH
     prev = _GRAPH
@@ -269,7 +316,11 @@ def _out(op, inputs, data, bwd):
     g = _GRAPH
     if g is not None and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
         t.requires_grad = True
-        g.nodes.append(Node(op, tuple(i for i in inputs if isinstance(i, Tensor)), t, bwd))
+        t._key = next(_SERIAL)
+        keys = g.keys
+        refs = tuple(_Ref(i) if i._key in keys else i for i in inputs if isinstance(i, Tensor))
+        g.nodes.append(Node(op, refs, t._key, bwd))
+        keys.add(t._key)
     return t
 
 
@@ -279,31 +330,38 @@ def backward(loss):
     Must run inside the record() block that recorded the forward: loss has to
     be the output of a node on the active graph. Repeated calls accumulate
     into .grad unless grads are cleared.
+
+    The sweep visits the nodes in reverse order. The gradient of a _Ref
+    input flows by its key to the node that produced it, that of a leaf by
+    the Tensor itself; contributions add in the order the sweep meets them,
+    and each node's d(out) is dropped once its closure has run. Closures are
+    only read, so the tape stays intact for a repeated call.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise UsageError("backward() needs a scalar loss tensor")
     g = _GRAPH
-    produced = {id(n.output) for n in g.nodes} if g is not None else set()
-    if id(loss) not in produced:
+    if g is None or loss._key not in g.keys:
         raise UsageError("loss is not an output of the active graph; "
                          "run the forward and backward() inside one record() block")
-    flows = {id(loss): [loss, np.ones_like(loss.data)]}
+    flows = {loss._key: np.ones_like(loss.data)}
+    leaves = {}
     for node in reversed(g.nodes):
-        entry = flows.pop(id(node.output), None)
-        if entry is None:
+        gout = flows.pop(node.key, None)
+        if gout is None:
             continue
-        grads = node.bwd(entry[1])
+        grads = node.bwd(gout)
+        del gout
         for t, gi in zip(node.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
-            cur = flows.get(id(t))
-            if cur is None:
-                flows[id(t)] = [t, gi]
+            if isinstance(t, _Ref):
+                cur = flows.get(t.key)
+                flows[t.key] = gi if cur is None else cur + gi
             else:
-                cur[1] = cur[1] + gi
-    for tid, (t, arr) in flows.items():
-        if tid not in produced and t.requires_grad:
-            t.grad = arr.copy() if t.grad is None else t.grad + arr
+                cur = leaves.get(id(t))
+                leaves[id(t)] = (t, gi) if cur is None else (t, cur[1] + gi)
+    for t, arr in leaves.values():
+        t.grad = arr.copy() if t.grad is None else t.grad + arr
 
 
 def _sum_to_shape(g, shape):
@@ -321,15 +379,15 @@ def _sum_to_shape(g, shape):
 
 
 def add(a, b):
-    data = a.data + b.data
-    return _out("add", (a, b), data,
-                lambda g: (_sum_to_shape(g, a.shape), _sum_to_shape(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _out("add", (a, b), a.data + b.data,
+                lambda g: (_sum_to_shape(g, sa), _sum_to_shape(g, sb)))
 
 
 def sub(a, b):
-    data = a.data - b.data
-    return _out("sub", (a, b), data,
-                lambda g: (_sum_to_shape(g, a.shape), _sum_to_shape(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _out("sub", (a, b), a.data - b.data,
+                lambda g: (_sum_to_shape(g, sa), _sum_to_shape(-g, sb)))
 
 
 def mul(a, b):
@@ -355,25 +413,28 @@ def div(a, b):
 
 
 def tsum(a):
-    return _out("sum", (a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=True),))
+    shape, dtype = a.shape, a.data.dtype
+    return _out("sum", (a,), np.asarray(a.data.sum()),
+                lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def tmean(a):
-    n = a.data.size
+    n, shape, dtype = a.data.size, a.shape, a.data.dtype
     return _out("mean", (a,), np.asarray(a.data.mean()),
-                lambda g: (np.broadcast_to(g / n, a.shape).astype(a.data.dtype, copy=True),))
+                lambda g: (np.broadcast_to(g / n, shape).astype(dtype, copy=True),))
 
 
 def sum_axes(a, axes):
     """Sum over the given axes (keepdims=False)."""
     axes = tuple(sorted(axes))
     data = a.data.sum(axis=axes)
+    shape, dtype = a.shape, a.data.dtype
 
     def bwd(g):
         ge = g
         for ax in axes:
             ge = np.expand_dims(ge, ax)
-        return (np.broadcast_to(ge, a.shape).astype(a.data.dtype, copy=True),)
+        return (np.broadcast_to(ge, shape).astype(dtype, copy=True),)
 
     return _out("sum_axes", (a,), data, bwd)
 
@@ -389,8 +450,8 @@ def clip(a, lo, hi):
 
 
 def reshape(a, shape):
-    shape = tuple(shape)
-    return _out("reshape", (a,), a.data.reshape(shape), lambda g: (g.reshape(a.shape),))
+    shape, ashape = tuple(shape), a.shape
+    return _out("reshape", (a,), a.data.reshape(shape), lambda g: (g.reshape(ashape),))
 
 
 def transpose(a, axes):
@@ -832,41 +893,50 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     wo = _conv_out_size(wdt, kw, stride, pad)
     pointwise = kh == 1 and kw == 1 and stride == 1 and pad == 0 and groups == 1
     depthwise = groups == ci and co == ci and cig == 1
+    need_x, wd = x.requires_grad, w.data
+    # each branch's closure captures only what its backward reads: the
+    # pointwise and depthwise ones the input array, the dense one the padded
+    # buffer xf alone
     if pointwise:
         x3 = x.data.reshape(n, ci, h * wdt)
-        w2 = w.data.reshape(co, ci)
+        w2 = wd.reshape(co, ci)
         out = np.matmul(w2, x3).reshape(n, co, h, wdt)
+
+        def grads(g):
+            g3 = np.ascontiguousarray(g).reshape(n, co, h * wdt)
+            gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])).reshape(co, ci, 1, 1)
+            gx = np.matmul(w2.T, g3).reshape(n, ci, h, wdt) if need_x else None
+            return gx, gw
     elif depthwise:
-        out = _dw_fwd(x.data, w.data, stride, pad)
+        xd = x.data
+        out = _dw_fwd(xd, wd, stride, pad)
+
+        def grads(g):
+            gw, gx = _dw_bwd(g, xd, wd, stride, pad, need_x)
+            return gx, gw
     else:
         hp, wp = h + 2 * pad, wdt + 2 * pad
         xf = _to_grid(x.data, hp, wp, pad, 1)
-        out = _from_grid(_dense_fwd(xf, w.data, groups, wp), n, hp, wp, 0, stride, ho, wo)
+        out = _from_grid(_dense_fwd(xf, wd, groups, wp), n, hp, wp, 0, stride, ho, wo)
+
+        def grads(g):
+            lead = (kh - 1) * wp + (kw - 1)
+            gs = _to_grid(g, hp, wp, 0, stride, lead)
+            gw = _dense_wgrad(gs[:, lead:], xf, wd, groups, wp)
+            if not need_x:
+                return None, gw
+            wf = wd.reshape(groups, co // groups, cig, kh, kw).transpose(0, 2, 1, 3, 4)
+            gxf = _dense_fwd(gs, wf.reshape(ci, co // groups, kh, kw)[:, :, ::-1, ::-1],
+                             groups, wp)
+            # freed before the crop, which would otherwise hold a third grid
+            del gs
+            return _from_grid(gxf, n, hp, wp, pad, 1, h, wdt), gw
     if b is not None:
         out = out + b.data[:, None, None]
     _tally("conv2d", n * ho * wo * co * cig * kh * kw)
 
     def bwd(g):
-        if pointwise:
-            g3 = np.ascontiguousarray(g).reshape(n, co, h * wdt)
-            x3 = x.data.reshape(n, ci, h * wdt)
-            gw = np.tensordot(g3, x3, axes=([0, 2], [0, 2])).reshape(w.shape)
-            gx = np.matmul(w.data.reshape(co, ci).T, g3).reshape(x.shape) \
-                if x.requires_grad else None
-        elif depthwise:
-            gw, gx = _dw_bwd(g, x.data, w.data, stride, pad, x.requires_grad)
-        else:
-            lead = (kh - 1) * wp + (kw - 1)
-            gs = _to_grid(g, hp, wp, 0, stride, lead)
-            gw = _dense_wgrad(gs[:, lead:], xf, w.data, groups, wp)
-            gx = None
-            if x.requires_grad:
-                wf = w.data.reshape(groups, co // groups, cig, kh, kw).transpose(0, 2, 1, 3, 4)
-                gxf = _dense_fwd(gs, wf.reshape(ci, co // groups, kh, kw)[:, :, ::-1, ::-1],
-                                 groups, wp)
-                # freed before the crop, which would otherwise hold a third grid
-                del gs
-                gx = _from_grid(gxf, n, hp, wp, pad, 1, h, wdt)
+        gx, gw = grads(g)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -935,10 +1005,11 @@ def pool2d(x, kind, k, stride=None):
     r = x.data.reshape(n, c, ho, k, wo, k)
     if kind == "avg":
         out = r.mean(axis=(3, 5))
+        dtype = x.data.dtype
 
         def bwd(g):
             gx = np.broadcast_to(g[:, :, :, None, :, None] / (k * k), (n, c, ho, k, wo, k))
-            return (gx.reshape(n, c, h, w).astype(x.data.dtype, copy=True),)
+            return (gx.reshape(n, c, h, w).astype(dtype, copy=True),)
 
         return _out("avgpool", (x,), out, bwd)
     if kind == "max":
@@ -1038,6 +1109,7 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     if not training and running is None:
         raise ConfigError("batchnorm2d eval mode needs running statistics")
     d = x.data
+    dtype = d.dtype
     m = n * h * w
     r = d.reshape(n, c, h * w)
     mu = r.sum(axis=2).sum(axis=0) / m if training else running[0]
@@ -1074,7 +1146,7 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
             gx *= k[:, None]
         else:
             np.multiply(g3, k[:, None], out=gx)
-        return gx.reshape(x.shape).astype(d.dtype, copy=False), dgamma, dbeta
+        return gx.reshape(n, c, h, w).astype(dtype, copy=False), dgamma, dbeta
 
     return _out("batchnorm2d", (x, gamma, beta), out, bwd)
 
@@ -1085,6 +1157,7 @@ def layernorm(x, gamma, beta, eps=1e-6):
     if gamma.shape != (dlast,) or beta.shape != (dlast,):
         raise ConfigError(f"layernorm: affine params sized {gamma.shape} for dim {dlast}")
     d = x.data
+    dtype = d.dtype
     mu = d.mean(axis=-1, keepdims=True)
     var = d.var(axis=-1, keepdims=True)
     invstd = 1.0 / np.sqrt(var + eps)
@@ -1097,9 +1170,9 @@ def layernorm(x, gamma, beta, eps=1e-6):
         gh = g * gamma.data
         gx = invstd * (gh - gh.mean(axis=-1, keepdims=True)
                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return gx.astype(d.dtype, copy=False), dgamma, dbeta
+        return gx.astype(dtype, copy=False), dgamma, dbeta
 
-    return _out("layernorm", (x, gamma, beta), out.astype(d.dtype, copy=False), bwd)
+    return _out("layernorm", (x, gamma, beta), out.astype(dtype, copy=False), bwd)
 
 
 # ---------------------------------------------------------------------------

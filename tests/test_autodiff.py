@@ -71,6 +71,17 @@ class TestBackwardSemantics:
             backward(T.add(T.tsum(T.mul(x, x)), T.tsum(x)))
         np.testing.assert_allclose(x.grad, 2 * x.data + 1.0, atol=1e-12)
 
+    def test_fan_in_adds_in_sweep_order(self):
+        # y feeds a, b and c; the reverse sweep meets c, then b, then a, so
+        # d(y) = (g_c + g_b) + g_a, which differs from g_c + (g_b + g_a) in f32
+        x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        tiny = 2.0 ** -24
+        with record():
+            y = T.scale(x, 1.0)
+            a, b, c = T.scale(y, 1.0), T.scale(y, tiny), T.scale(y, tiny)
+            backward(T.tsum(T.add(T.add(a, b), c)))
+        assert x.grad.tobytes() == np.float32([1.0 + 2 * tiny]).tobytes()
+
     def test_no_grad_suppresses_recording(self, rng):
         x = f64(rng.standard_normal(4))
         with record() as g:

@@ -72,6 +72,14 @@ class TestPNM:
             load_pnm(str(p))
         assert exc.value.offset == 11 + 7
 
+    def test_overlong_header_field_rejected_with_offset(self, tmp_path):
+        # int() refuses more than 4300 digits with a bare ValueError
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n")
+        with pytest.raises(ParseError, match="out of range") as exc:
+            load_pnm(str(p))
+        assert exc.value.offset == 3
+
     def test_comments_skipped(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 2 255\n" + bytes(4))
@@ -276,6 +284,19 @@ class TestCheckpoint:
         p, raw, name_at = self._one_tensor_checkpoint(tmp_path)
         dims_at = name_at + 1 + 2
         raw[dims_at:dims_at + 16] = struct.pack("<QQ", 2 ** 32, 2 ** 32)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="overflow") as exc:
+            load_checkpoint(str(p))
+        assert exc.value.offset == dims_at
+
+    @pytest.mark.parametrize("code,dims", [(0, (0, 2 ** 62)), (1, (0, 2 ** 61)),
+                                           (0, (2 ** 62, 0))])
+    def test_empty_dims_overflowing_with_itemsize_rejected(self, tmp_path, code, dims):
+        # zero elements, but the other dim times the itemsize overflows intp
+        p, raw, name_at = self._one_tensor_checkpoint(tmp_path)
+        raw[name_at + 1] = code
+        dims_at = name_at + 1 + 2
+        raw[dims_at:dims_at + 16] = struct.pack("<QQ", *dims)
         p.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="overflow") as exc:
             load_checkpoint(str(p))

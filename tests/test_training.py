@@ -2,12 +2,14 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from muvit import tensor as T
+from muvit.blocks import ConvUtrBlock
 from muvit.data import standardize, synth_dataset
 from muvit.model import ModelConfig, build_model
 from muvit.tensor import ConfigError, Tensor, UsageError, backward, record
@@ -344,3 +346,109 @@ class TestTape:
                 backward(loss)
         with pytest.raises(UsageError):
             backward(loss)
+
+
+def base64_step_inputs(batch):
+    model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+    model.train()
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((batch, 3, 64, 64)).astype(np.float32))
+    y = Tensor((rng.random((batch, 1, 64, 64)) > 0.5).astype(np.float32))
+    return model, x, y
+
+
+def full_tape_backward(graph, outputs, loss):
+    """Reverse sweep that routes every gradient by the id of the Tensor it
+    flows to, over a tape whose outputs are all kept alive, and accumulates
+    in sweep order, as backward did before the tape held keys; returns
+    {id(leaf): gradient}."""
+    tensor_of = lambda t: outputs[t.key] if isinstance(t, T._Ref) else t  # noqa: E731
+    flows = {id(loss): [loss, np.ones_like(loss.data)]}
+    for node in reversed(graph.nodes):
+        entry = flows.pop(id(outputs[node.key]), None)
+        if entry is None:
+            continue
+        for t, gi in zip(map(tensor_of, node.inputs), node.bwd(entry[1])):
+            if gi is None or not t.requires_grad:
+                continue
+            cur = flows.get(id(t))
+            if cur is None:
+                flows[id(t)] = [t, gi]
+            else:
+                cur[1] = cur[1] + gi
+    return {tid: arr for tid, (_, arr) in flows.items()}
+
+
+class TestTapeHoldsWhatBackwardReads:
+    def test_step_gradients_bitwise_equal_to_full_tape_sweep(self, monkeypatch):
+        # freeing the intermediates no closure reads changes no bit of the
+        # loss or of any parameter gradient
+        model, x, y = base64_step_inputs(8)
+        with record():
+            loss = seg_loss(model(x), y).total
+            model.zero_grad()
+            backward(loss)
+        grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+
+        outputs = {}
+        record_out = T._out
+
+        def keep_out(*args):
+            t = record_out(*args)
+            outputs[t._key] = t
+            return t
+
+        monkeypatch.setattr(T, "_out", keep_out)
+        with record() as g:
+            loss2 = seg_loss(model(x), y).total
+            ref = full_tape_backward(g, outputs, loss2)
+        assert loss2.data.tobytes() == loss.data.tobytes()
+        for name, p in model.named_parameters():
+            assert ref[id(p)].tobytes() == grads[name].tobytes(), name
+
+    def test_step_peak_memory(self):
+        # forward, loss and backward of a Base@64, batch-8 step inside
+        # record(); holding every activation until the block exits peaked
+        # at 136.8 MB
+        model, x, y = base64_step_inputs(8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with record():
+                terms = seg_loss(model(x), y)
+                model.zero_grad()
+                backward(terms.total)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6, f"step peak {peak / 1e6:.1f} MB"
+
+    def test_gelu_output_freed_once_batchnorm_consumed_it(self, rng):
+        # BatchNorm's backward reads only xhat, and GELU's only dGELU/dx
+        blk = ConvUtrBlock(8, 3)
+        blk.train()
+        x = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32), requires_grad=True)
+        with record():
+            h = T.gelu(blk.dw(x))
+            refs = [weakref.ref(h), weakref.ref(h.data)]
+            out = blk.bn1(h)
+            del h
+            assert [r() for r in refs] == [None, None]
+            backward(T.tsum(T.mul(out, out)))
+        assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+        assert blk.dw.weight.grad is not None and blk.bn1.gamma.grad is not None
+
+    def test_conv_nodes_expose_input_shapes(self):
+        # tracers read node.inputs[0].shape and [1].shape on every conv2d node,
+        # whether the input is a leaf Tensor or a stand-in for an activation
+        model, x, y = base64_step_inputs(1)
+        with record() as g:
+            seg_loss(model(x), y)
+        convs = [n for n in g.nodes if n.op == "conv2d"]
+        assert convs
+        kinds = set()
+        for node in convs:
+            xs, ws = node.inputs[0].shape, node.inputs[1].shape
+            assert len(xs) == 4 and len(ws) == 4 and xs[1] % ws[1] == 0
+            kinds.add(type(node.inputs[0]))
+        assert kinds == {Tensor, T._Ref}
