@@ -8,7 +8,7 @@ and a CLI front end.
 
 from .tensor import (ConfigError, Graph, Tensor, UsageError, VerificationError,
                      backward, count_macs, gradcheck, no_grad, record)
-from .model import MobileUViT, ModelConfig, build_model, set_mode
+from .model import MobileUViT, ModelConfig, build_model
 from .accounting import CostReport, attention_cost_ratio, count_flops, count_params
 from .training import LossTerms, SGD, augment, lr_schedule, seg_loss, train_loop
 from .metrics import EvalResult, evaluate, segmentation_metrics
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "Graph", "Tensor", "UsageError", "VerificationError",
     "backward", "count_macs", "gradcheck", "no_grad", "record",
-    "MobileUViT", "ModelConfig", "build_model", "set_mode",
+    "MobileUViT", "ModelConfig", "build_model",
     "CostReport", "attention_cost_ratio", "count_flops", "count_params",
     "LossTerms", "SGD", "augment", "lr_schedule", "seg_loss", "train_loop",
     "EvalResult", "evaluate", "segmentation_metrics",

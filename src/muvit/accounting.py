@@ -19,13 +19,13 @@ output element, so band comparisons include them but they never dominate.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import MobileUViT, ModelConfig, _skip_channels
+from .model import MobileUViT, ModelConfig
 from .tensor import ConfigError, VerificationError
 
 
-def conv_macs(h, w, d_i, d_j, k, groups=1):
-    """MACs of a k x k conv at output resolution h x w."""
-    return h * w * d_j * (d_i // groups) * k * k
+def conv_macs(h, w, d_i, d_j, k):
+    """MACs of a dense k x k conv at output resolution h x w."""
+    return h * w * d_j * d_i * k * k
 
 
 def convutr_core_macs(h, w, d, k):
@@ -118,12 +118,12 @@ def _convutr_block_params(d, k):
     return d * k * k + 2 * d * d + 6 * d
 
 
-def _lklgl_block_params(d, r, k, tk):
+def _lklgl_block_params(d, r, k, p):
     norms = 4 * 2 * d
     dsconv = d * k * k + d * d + d            # depthwise, pointwise + bias
     ffn = 2 * (d * (r * d) + r * d + (r * d) * d + d)
     attn = 4 * (d * d + d)
-    transconv = d * d * tk * tk + d
+    transconv = d * d * p * p + d
     return norms + dsconv + ffn + attn + transconv
 
 
@@ -157,7 +157,7 @@ def analytic_param_rows(cfg: ModelConfig):
     rows.append(Row("proj4(+bn)", c[3] * c[2] + 2 * c[3]))
     for b in range(cfg.depths[3]):
         rows.append(Row(f"enc4.block{b}",
-                        _lklgl_block_params(c[3], r, cfg.lklgl_kernel, cfg.transconv_kernel)))
+                        _lklgl_block_params(c[3], r, cfg.lklgl_kernel, cfg.pool_ratio)))
 
     if conv_down:
         rows.append(Row("down5", c[3] * 4))
@@ -166,23 +166,13 @@ def analytic_param_rows(cfg: ModelConfig):
     for b in range(cfg.depths[4]):
         rows.append(Row(f"enc5.block{b}", _vit_block_params(c[4], r)))
 
-    cskips = _skip_channels(cfg)
-    adapter_src = {"adapt1": c[0], "adapt2": c[1], "adapt3": c[2]}
-    present = []
-    if cfg.skip_mode in ("skip1", "skip2", "skip3"):
-        want = {"skip1": 1, "skip2": 2, "skip3": 3}[cfg.skip_mode]
-        present = ["adapt1", "adapt2", "adapt3"][:want]
-    elif cfg.skip_mode == "horizontal":
-        present = ["adapt1", "adapt2", "adapt3"]
-    for name in present:
-        ch = adapter_src[name]
-        rows.append(Row(name, 2 * (ch * ch * 9 + 2 * ch)))
+    for row in cfg.skips:
+        ch = c[row.stage - 1]
+        rows.append(Row(row.name, 2 * (ch * ch * 9 + 2 * ch)))
 
-    dc = cfg.decoder_channels
-    dec_in = (c[4],) + dc[:-1]
-    for i in range(5):
-        rows.append(Row(f"dec{i + 1}(+bn)", (dec_in[i] + cskips[i]) * dc[i] * 9 + 2 * dc[i]))
-    rows.append(Row("head", dc[-1] * cfg.num_classes + cfg.num_classes))
+    for i, (cin, cskip, cout) in enumerate(cfg.decoder, start=1):
+        rows.append(Row(f"dec{i}(+bn)", (cin + cskip) * cout * 9 + 2 * cout))
+    rows.append(Row("head", cfg.decoder[-1][2] * cfg.num_classes + cfg.num_classes))
     return rows
 
 
@@ -296,7 +286,7 @@ def count_flops(cfg_or_model, input_size=None):
         rows.append(Row(f"{name}.pool", macs=hw * d, kind="term"))
         _attention_rows(rows, f"{name}.attn", t_attn, d, heads)
         rows.append(Row(f"{name}.transconv",
-                        macs=t_pool * cfg.transconv_kernel ** 2 * d * d, kind="transconv"))
+                        macs=t_pool * p * p * d * d, kind="transconv"))
         _norm_rows(rows, f"{name}.norm4", hw, d)
         _ffn_rows(rows, f"{name}.ffn2", hw, d, r)
 
@@ -315,21 +305,10 @@ def count_flops(cfg_or_model, input_size=None):
         _norm_rows(rows, f"{name}.norm2", tokens, d)
         _ffn_rows(rows, f"{name}.ffn", tokens, d, r)
 
-    # skip adapters
-    cskips = _skip_channels(cfg)
-    pooled = cfg.skip_mode in ("skip1", "skip2", "skip3")
-    adapter_specs = []      # (name, channels, conv resolution)
-    if pooled:
-        want = {"skip1": 1, "skip2": 2, "skip3": 3}[cfg.skip_mode]
-        res = {"adapt1": s // 4, "adapt2": s // 8, "adapt3": s // 16}
-        src = {"adapt1": c[0], "adapt2": c[1], "adapt3": c[2]}
-        for nm in ["adapt1", "adapt2", "adapt3"][:want]:
-            adapter_specs.append((nm, src[nm], res[nm]))
-    elif cfg.skip_mode == "horizontal":
-        adapter_specs = [("adapt1", c[0], s // 2), ("adapt2", c[1], s // 4),
-                         ("adapt3", c[2], s // 8)]
-    for nm, ch, hr in adapter_specs:
-        if pooled:
+    # skip adapters, each convolving at the resolution of the decoder block it feeds
+    for row in cfg.skips:
+        nm, ch, hr = row.name, c[row.stage - 1], s // 2 ** (4 - row.level)
+        if row.pooled:
             rows.append(Row(f"{nm}.pool", macs=(2 * hr) * (2 * hr) * ch, kind="term"))
         rows.append(Row(f"{nm}.conv1", macs=conv_macs(hr, hr, ch, ch, 3), kind="conv"))
         _norm_rows(rows, f"{nm}.relu_bn1", hr * hr * 2, ch)
@@ -337,17 +316,15 @@ def count_flops(cfg_or_model, input_size=None):
         _norm_rows(rows, f"{nm}.relu_bn2", hr * hr * 2, ch)
 
     # decoder
-    dc = cfg.decoder_channels
-    dec_in = (c[4],) + dc[:-1]
     h = s // 32
-    for i in range(5):
-        name = f"dec{i + 1}"
+    for i, (cin, cskip, cout) in enumerate(cfg.decoder, start=1):
+        name = f"dec{i}"
         h *= 2
-        rows.append(Row(f"{name}.upsample", macs=h * h * dec_in[i], kind="term"))
-        rows.append(Row(f"{name}.conv",
-                        macs=conv_macs(h, h, dec_in[i] + cskips[i], dc[i], 3), kind="conv"))
-        _norm_rows(rows, f"{name}.bn_relu", h * h * 2, dc[i])
-    rows.append(Row("head", macs=conv_macs(s, s, dc[-1], cfg.num_classes, 1), kind="conv"))
+        rows.append(Row(f"{name}.upsample", macs=h * h * cin, kind="term"))
+        rows.append(Row(f"{name}.conv", macs=conv_macs(h, h, cin + cskip, cout, 3), kind="conv"))
+        _norm_rows(rows, f"{name}.bn_relu", h * h * 2, cout)
+    rows.append(Row("head", macs=conv_macs(s, s, cfg.decoder[-1][2], cfg.num_classes, 1),
+                    kind="conv"))
 
     total = sum(row.macs for row in rows)
     return CostReport(rows=rows, input_size=s, total_macs=total)

@@ -116,12 +116,12 @@ class LKLGLBlock(Module):
         out = ffn(norm(z)) + z
 
     Attention runs on the pooled (H/p)*(W/p) token grid so its quadratic cost
-    shrinks by p^4. `literal_order=True` swaps to attn-then-pool for
-    comparison.
+    shrinks by p^4; the p x p, stride-p transconv restores the H x W grid.
+    `literal_order=True` swaps to attn-then-pool for comparison.
     """
 
-    def __init__(self, d, heads, kernel=9, pool_ratio=2, transconv_kernel=2,
-                 ffn_ratio=6, literal_order=False, dtype="f32"):
+    def __init__(self, d, heads, kernel=9, pool_ratio=2, ffn_ratio=6, literal_order=False,
+                 dtype="f32"):
         super().__init__()
         if d % heads:
             raise ConfigError(f"LKLGL dim {d} not divisible by {heads} heads")
@@ -134,7 +134,7 @@ class LKLGLBlock(Module):
         self.ffn1 = FeedForward(d, ffn_ratio, dtype=dtype)
         self.norm3 = ChannelLayerNorm(d, dtype=dtype)
         self.attn = MultiHeadSelfAttention(d, heads, dtype=dtype)
-        self.transconv = ConvTranspose2d(d, d, transconv_kernel, transconv_kernel, dtype=dtype)
+        self.transconv = ConvTranspose2d(d, d, pool_ratio, dtype=dtype)
         self.norm4 = LayerNorm(d, dtype=dtype)
         self.ffn2 = FeedForward(d, ffn_ratio, dtype=dtype)
 

@@ -3,9 +3,10 @@
 Stages 1-3 are ConvUtr stages, stage 4 stacks LKLGL blocks at 1/16
 resolution, stage 5 is the transformer bottleneck on the 1/32 token grid.
 The decoder upsamples back in five steps, fusing pooled (or horizontal)
-skip features from the ConvUtr stages along the way.
+skip features from the ConvUtr stages along the way, as SKIPS lays out.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +22,33 @@ VARIANTS = {
     "large": {"channels": (32, 32, 64, 128, 256), "depths": (1, 1, 3, 3, 4)},
 }
 
-SKIP_MODES = ("none", "horizontal", "skip1", "skip2", "skip3")
+# A skip adapter refines the output of encoder stage `stage` (max-pooled 2x
+# first if `pooled`) and feeds decoder block `level`, counted from the
+# bottleneck.
+Skip = namedtuple("Skip", "name stage level pooled")
+
+# The skip wiring of each mode, one row per adapter in creation order. Stage i
+# outputs s / 2**i and decoder block L runs at s / 2**(4 - L), so a pooled
+# stage-i feature fuses at level 3 - i and a horizontal one at level 4 - i.
+SKIPS = {
+    "none": (),
+    "horizontal": (Skip("adapt1", 1, 3, False), Skip("adapt2", 2, 2, False),
+                   Skip("adapt3", 3, 1, False)),
+    "skip1": (Skip("adapt1", 1, 2, True),),
+    "skip2": (Skip("adapt1", 1, 2, True), Skip("adapt2", 2, 1, True)),
+    "skip3": (Skip("adapt1", 1, 2, True), Skip("adapt2", 2, 1, True),
+              Skip("adapt3", 3, 0, True)),
+}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The variant fixes channels and depths; the LKLGL transposed conv
+    redistributes by the pool ratio, so its kernel is pool_ratio."""
     variant: str = "base"
-    channels: tuple = (16, 16, 32, 64, 128)
-    depths: tuple = (1, 1, 3, 3, 3)
     convutr_kernels: tuple = (3, 3, 7)
     lklgl_kernel: int = 9
     pool_ratio: int = 2
-    transconv_kernel: int = 2
     ffn_ratio: int = 6
     head_dim: int = 32
     num_classes: int = 1
@@ -45,18 +61,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}'")
-        if len(self.channels) != 5 or len(self.depths) != 5:
-            raise ConfigError("config needs 5 channel counts and 5 depths")
         if len(self.convutr_kernels) != 3:
             raise ConfigError("config needs 3 ConvUtr kernel sizes")
-        if any(k % 2 == 0 for k in self.convutr_kernels) or self.lklgl_kernel % 2 == 0:
-            raise ConfigError("conv kernels must be odd")
-        if self.input_size % 32:
-            raise ConfigError(f"input_size {self.input_size} not divisible by 32")
-        if self.skip_mode not in SKIP_MODES:
+        if any(k < 1 or k % 2 == 0 for k in (*self.convutr_kernels, self.lklgl_kernel)):
+            raise ConfigError("conv kernels must be positive and odd")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ConfigError(f"input_size {self.input_size} is not a positive multiple of 32")
+        if self.skip_mode not in SKIPS:
             raise ConfigError(f"unknown skip mode '{self.skip_mode}'")
         if self.downsample_mode not in ("maxpool", "conv"):
             raise ConfigError(f"unknown downsample mode '{self.downsample_mode}'")
+        if self.head_dim < 1 or self.pool_ratio < 1:
+            raise ConfigError("head_dim and pool_ratio must be >= 1")
         for d in (self.channels[3], self.channels[4]):
             if d % self.head_dim:
                 raise ConfigError(f"channels {d} not divisible by head_dim {self.head_dim}")
@@ -69,36 +85,37 @@ class ModelConfig:
 
     @classmethod
     def for_variant(cls, variant, **overrides):
-        base = dict(VARIANTS[variant]) if variant in VARIANTS else {}
-        if not base:
-            raise ConfigError(f"unknown variant '{variant}'")
-        base.update(overrides)
-        return cls(variant=variant, **base)
+        return cls(variant=variant, **overrides)
 
     @property
-    def decoder_channels(self):
-        """Decoder widths: halve from the bottleneck down to C3, then hold."""
+    def channels(self):
+        return VARIANTS[self.variant]["channels"]
+
+    @property
+    def depths(self):
+        return VARIANTS[self.variant]["depths"]
+
+    @property
+    def skips(self):
+        return SKIPS[self.skip_mode]
+
+    @property
+    def decoder(self):
+        """(in, skip, out) channels of each decoder block, bottleneck first.
+
+        The widths halve from the bottleneck down to C3, then hold; the skip
+        channels are those of the stage that feeds the block, 0 if none.
+        """
         c = self.channels
-        return (c[3], c[2], c[2], c[2], c[2])
+        out = (c[3], c[2], c[2], c[2], c[2])
+        skip = [0] * 5
+        for row in self.skips:
+            skip[row.level] = c[row.stage - 1]
+        return tuple(zip((c[4],) + out[:-1], skip, out))
 
     @property
     def token_count(self):
         return (self.input_size // 32) ** 2
-
-
-def _skip_channels(cfg):
-    """Skip channel count for each decoder block, bottleneck first;
-    0 means no fusion at that block."""
-    c1, c2, c3 = cfg.channels[0], cfg.channels[1], cfg.channels[2]
-    mode = cfg.skip_mode
-    if mode == "none":
-        return (0, 0, 0, 0, 0)
-    if mode == "horizontal":
-        # same-resolution fusion: stage3 @ dec4, stage2 @ dec3, stage1 @ dec2
-        return (0, c3, c2, c1, 0)
-    # downsampled: stage features pooled 2x fuse one level below their origin
-    want = {"skip1": 1, "skip2": 2, "skip3": 3}[mode]
-    return (c3 if want >= 3 else 0, c2 if want >= 2 else 0, c1 if want >= 1 else 0, 0, 0)
 
 
 class MobileUViT(Module):
@@ -119,8 +136,8 @@ class MobileUViT(Module):
         self.proj4_bn = BatchNorm2d(c[3], dtype=dt)
         heads4 = c[3] // cfg.head_dim
         self.enc4 = ModuleList([
-            LKLGLBlock(c[3], heads4, cfg.lklgl_kernel, cfg.pool_ratio,
-                       cfg.transconv_kernel, cfg.ffn_ratio, cfg.literal_eq2, dtype=dt)
+            LKLGLBlock(c[3], heads4, cfg.lklgl_kernel, cfg.pool_ratio, cfg.ffn_ratio,
+                       cfg.literal_eq2, dtype=dt)
             for _ in range(cfg.depths[3])])
 
         self.down5 = Downsample(c[3], dm, dtype=dt)
@@ -132,26 +149,13 @@ class MobileUViT(Module):
             TransformerBlock(c[4], heads5, cfg.ffn_ratio, dtype=dt)
             for _ in range(cfg.depths[4])])
 
-        cskips = _skip_channels(cfg)
-        if cfg.skip_mode in ("skip1", "skip2", "skip3"):
-            if cskips[2]:
-                self.adapt1 = SkipAdapter(c[0], c[0], pool=True, dtype=dt)
-            if cskips[1]:
-                self.adapt2 = SkipAdapter(c[1], c[1], pool=True, dtype=dt)
-            if cskips[0]:
-                self.adapt3 = SkipAdapter(c[2], c[2], pool=True, dtype=dt)
-        elif cfg.skip_mode == "horizontal":
-            self.adapt1 = SkipAdapter(c[0], c[0], pool=False, dtype=dt)
-            self.adapt2 = SkipAdapter(c[1], c[1], pool=False, dtype=dt)
-            self.adapt3 = SkipAdapter(c[2], c[2], pool=False, dtype=dt)
+        for row in cfg.skips:
+            ch = c[row.stage - 1]
+            setattr(self, row.name, SkipAdapter(ch, ch, pool=row.pooled, dtype=dt))
 
-        dc = cfg.decoder_channels
-        dec_in = (c[4],) + dc[:-1]
-        decs = []
-        for i in range(5):
-            decs.append(DecoderBlock(dec_in[i], cskips[i], dc[i], dtype=dt))
-        self.dec = ModuleList(decs)
-        self.head = Conv2d(dc[-1], cfg.num_classes, 1, bias=True, dtype=dt)
+        self.dec = ModuleList([DecoderBlock(cin, cskip, cout, dtype=dt)
+                               for cin, cskip, cout in cfg.decoder])
+        self.head = Conv2d(cfg.decoder[-1][2], cfg.num_classes, 1, bias=True, dtype=dt)
 
     def encode(self, x, taps=None):
         """Run the encoder; returns (stage outputs f1..f5)."""
@@ -175,21 +179,10 @@ class MobileUViT(Module):
         return feats
 
     def _decode(self, feats, taps=None):
-        f1, f2, f3, f4, f5 = feats
-        mode = self.cfg.skip_mode
         skips = [None] * 5
-        if mode in ("skip1", "skip2", "skip3"):
-            want = {"skip1": 1, "skip2": 2, "skip3": 3}[mode]
-            skips[2] = self.adapt1(f1)
-            if want >= 2:
-                skips[1] = self.adapt2(f2)
-            if want >= 3:
-                skips[0] = self.adapt3(f3)
-        elif mode == "horizontal":
-            skips[1] = self.adapt3(f3)
-            skips[2] = self.adapt2(f2)
-            skips[3] = self.adapt1(f1)
-        x = f5
+        for row in self.cfg.skips:
+            skips[row.level] = getattr(self, row.name)(feats[row.stage - 1])
+        x = feats[-1]
         for i, dec in enumerate(self.dec):
             x = dec(x, skips[i])
             if taps is not None:
@@ -225,15 +218,6 @@ def build_model(cfg: ModelConfig, seed=0):
     nn.initialize(model, seed)
     model.seed = seed
     return model
-
-
-def set_mode(model, mode):
-    if mode == "train":
-        model.train()
-    elif mode == "eval":
-        model.eval()
-    else:
-        raise UsageError(f"unknown mode '{mode}'")
 
 
 def first_nonfinite_layer(model, images):

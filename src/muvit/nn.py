@@ -161,10 +161,10 @@ def _param(shape, dtype, kind):
 class Conv2d(Module):
     def __init__(self, cin, cout, k, stride=1, pad=0, groups=1, bias=True, dtype="f32"):
         super().__init__()
-        if cin % groups or cout % groups:
-            raise ConfigError(f"Conv2d: channels {cin}->{cout} not divisible by groups={groups}")
+        if groups != 1 and not groups == cin == cout:
+            raise ConfigError(f"Conv2d: groups={groups} on {cin}->{cout} channels is neither "
+                              "dense nor depthwise")
         self.stride, self.pad, self.groups = stride, pad, groups
-        self.cin, self.cout, self.k = cin, cout, k
         self.weight = _param((cout, cin // groups, k, k), dtype, "conv")
         self.bias = _param((cout,), dtype, "zero") if bias else None
 
@@ -173,14 +173,15 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, cin, cout, k=2, stride=2, bias=True, dtype="f32"):
+    """Transposed conv whose stride equals its kernel size."""
+
+    def __init__(self, cin, cout, k=2, bias=True, dtype="f32"):
         super().__init__()
-        self.stride = stride
         self.weight = _param((cin, cout, k, k), dtype, "conv_transpose")
         self.bias = _param((cout,), dtype, "zero") if bias else None
 
     def forward(self, x):
-        return T.conv_transpose2d(x, self.weight, self.bias, self.stride)
+        return T.conv_transpose2d(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):

@@ -1,9 +1,10 @@
 """Dense NCHW tensor core with reverse-mode autodiff on a recorded op tape.
 
 Forward operators cover exactly what the segmentation network needs:
-grouped/depthwise conv, transposed conv, pooling, bilinear upsampling,
-batch/layer norm, GELU/ReLU/sigmoid/softmax, linear, multi-head attention,
-plus the elementwise/reduction glue used by the loss. Every op that records
+dense, pointwise and depthwise conv, transposed conv with stride equal to
+its kernel, pooling, bilinear upsampling, batch/layer norm,
+GELU/ReLU/sigmoid/softmax, linear, multi-head attention, plus the
+elementwise/reduction glue used by the loss. Every op that records
 onto the active Graph knows how to push gradients back to its inputs;
 ``backward(loss)`` replays the tape in reverse.
 
@@ -20,20 +21,21 @@ shapes and dtypes for add, sub, reshape, the sums and means and avg-pool. So
 an activation that no closure reads, such as the GELU output that BatchNorm
 normalizes, is freed as soon as the forward drops it.
 
-Dense convs (every conv that is neither pointwise nor depthwise) run on a
-flat padded buffer: the input is zero-padded once into a channel-major
-[Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM against that
-buffer shifted by i*Wp + j, accumulated into the output; windows that wrap
-into the next row or image land only in the margin that is cropped away.
-The columns are cut into equal blocks of at most 2^17 / max(Co/g, Ci/g), so
+Dense convs (groups=1, not pointwise; depthwise is the only other
+grouping) run on a flat padded buffer: the input is zero-padded once into a
+channel-major [Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM
+against that buffer shifted by i*Wp + j, accumulated into the output;
+windows that wrap into the next row or image land only in the margin that
+is cropped away.
+The columns are cut into equal blocks of at most 2^17 / max(Co, Ci), so
 that a block of the input, the output and the per-tap product stay in L2
 cache across the taps; each output still sums its taps in row-major order,
 so the f32 result is bitwise that of one whole-span GEMM per tap. The
 backward pass places d(out) once on the same grid, behind (kh-1)*Wp + (kw-1)
 leading zeros: d(w) takes the per-tap GEMMs over the same blocks, and d(x)
-is the same blocked forward run on that buffer with the flipped kernel,
-transposed per group. The tape keeps the padded buffer, about the size of
-the input, and no im2col copy.
+is the same blocked forward run on that buffer with the flipped, transposed
+kernel. The tape keeps the padded buffer, about the size of the input, and
+no im2col copy.
 
 Depthwise convs run as banded GEMMs on width tiles: the input is zero-padded
 once into channel-major tiles [C, Hp, N, nb, b+kw-1], each covering
@@ -594,16 +596,6 @@ def softmax(x):
     return _out("softmax", (x,), s, bwd)
 
 
-_ACTIVATIONS = {"gelu": gelu, "relu": relu, "sigmoid": sigmoid, "softmax_lastdim": softmax}
-
-
-def activation(x, kind):
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ConfigError(f"unknown activation kind '{kind}'") from None
-
-
 # ---------------------------------------------------------------------------
 # linear / attention
 
@@ -693,21 +685,21 @@ def _from_grid(buf, n, hp, wp, top, step, h, w):
 _BLOCK = 1 << 17
 
 
-def _dense_blocks(w, groups, wp, m):
+def _dense_blocks(w, wp, m):
     """Column blocks [(q, l)] of a dense conv on a flat grid of m columns and
     row width wp: its span = m - (kh-1)*wp - (kw-1) output columns cut into
-    blocks of equal width up to _BLOCK // max(Co/g, Ci/g), the last at most a
+    blocks of equal width up to _BLOCK // max(Co, Ci), the last at most a
     few columns narrower."""
-    co, cig, kh, kw = w.shape
+    co, ci, kh, kw = w.shape
     span = m - (kh - 1) * wp - (kw - 1)
-    nblocks = -(-span // (_BLOCK // max(co // groups, cig)))
+    nblocks = -(-span // (_BLOCK // max(co, ci)))
     width = -(-span // nblocks)
     return [(q, min(width, span - q)) for q in range(0, span, width)]
 
 
-def _dense_fwd(xf, w, groups, wp):
-    """Stride-1 grouped correlation on the flat padded buffer, one GEMM per
-    tap and column block.
+def _dense_fwd(xf, w, wp):
+    """Stride-1 correlation on the flat padded buffer, one GEMM per tap and
+    column block.
 
     out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span; the
     positions whose window wraps into the next row or image lie in the margin
@@ -715,42 +707,35 @@ def _dense_fwd(xf, w, groups, wp):
     row-major order whatever the blocking, so the result is bitwise that of
     one whole-span GEMM per tap.
     """
-    co, cig, kh, kw = w.shape
-    cog = co // groups
-    blocks = _dense_blocks(w, groups, wp, xf.shape[1])
+    co, ci, kh, kw = w.shape
+    blocks = _dense_blocks(w, wp, xf.shape[1])
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = np.zeros((co, xf.shape[1]), dtype=xf.dtype)
-    tmp = np.empty((cog, blocks[0][1]), dtype=xf.dtype)
-    for gi in range(groups):
-        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
-        for q, l in blocks:
-            acc, t = out[o, q:q + l], tmp[:, :l]
-            for i in range(kh):
-                for j in range(kw):
-                    off = q + i * wp + j
-                    np.matmul(wt[i, j, o], xf[c, off:off + l], out=t)
-                    acc += t
+    tmp = np.empty((co, blocks[0][1]), dtype=xf.dtype)
+    for q, l in blocks:
+        acc, t = out[:, q:q + l], tmp[:, :l]
+        for i in range(kh):
+            for j in range(kw):
+                off = q + i * wp + j
+                np.matmul(wt[i, j], xf[:, off:off + l], out=t)
+                acc += t
     return out
 
 
-def _dense_wgrad(gs, xf, w, groups, wp):
+def _dense_wgrad(gs, xf, w, wp):
     """d(w) of _dense_fwd, with gs = d(out) on the same flat grid, zero in
     the margin: per column block and tap, gs[:, q:q+l] @ xf[:, q+off:q+off+l].T
     accumulated over the blocks of _dense_fwd."""
-    co, cig, kh, kw = w.shape
-    cog = co // groups
-    blocks = _dense_blocks(w, groups, wp, xf.shape[1])
-    gw = np.zeros((kh, kw, co, cig), dtype=xf.dtype)
-    tmp = np.empty((cog, cig), dtype=xf.dtype)
-    for gi in range(groups):
-        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
-        for q, l in blocks:
-            go = gs[o, q:q + l]
-            for i in range(kh):
-                for j in range(kw):
-                    off = q + i * wp + j
-                    np.matmul(go, xf[c, off:off + l].T, out=tmp)
-                    gw[i, j, o] += tmp
+    co, ci, kh, kw = w.shape
+    gw = np.zeros((kh, kw, co, ci), dtype=xf.dtype)
+    tmp = np.empty((co, ci), dtype=xf.dtype)
+    for q, l in _dense_blocks(w, wp, xf.shape[1]):
+        go = gs[:, q:q + l]
+        for i in range(kh):
+            for j in range(kw):
+                off = q + i * wp + j
+                np.matmul(go, xf[:, off:off + l].T, out=tmp)
+                gw[i, j] += tmp
     return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
@@ -851,21 +836,22 @@ def _dw_bwd(g, x, w, stride, pad, need_x):
 
 
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
-    """Grouped 2-d cross-correlation.
+    """2-d cross-correlation: dense (groups=1) or depthwise (groups=Ci=Co).
 
-    x: [N, Ci, H, W]; w: [Co, Ci/g, kh, kw]; groups=Ci gives a depthwise conv,
-    1x1 kernels give a pointwise conv. Every other conv takes the dense path:
+    x: [N, Ci, H, W]; w: [Co, Ci, kh, kw], or [Ci, 1, kh, kw] for a depthwise
+    conv; any other grouping raises ConfigError. Unstrided, unpadded 1x1
+    kernels give a pointwise conv. Every other dense conv takes the dense path:
     x is padded once into the flat buffer xf = [Ci, N*Hp*Wp], and each tap
     (i, j) adds w[:, :, i, j] @ xf[:, off:off + L] to the output, with
     off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1), one column block
     [q, q+l) at a time (_dense_fwd); the result is cropped to [:Ho, :Wo]
-    (stride s keeps every s-th position of the stride-1 result), and groups
-    run one after another through the same loop. The backward pass keeps xf
+    (stride s keeps every s-th position of the stride-1 result). The
+    backward pass keeps xf
     and places d(out), dilated by the stride, on the same grid behind
     (kh-1)*Wp + (kw-1) zero columns. d(w) sums d(out)[:, q:q+l] @
     xf[:, q+off:q+off+l].T over taps and blocks (_dense_wgrad). d(x) is
     _dense_fwd of that buffer with w flipped in both kernel axes and
-    transposed to [Ci, Co/g] per group, cropped like the input; the lead
+    transposed to [Ci, Co], cropped like the input; the lead
     makes it a full correlation, and shifts that run into the previous row
     or image read only the zero margin.
 
@@ -877,14 +863,15 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     keeps every s-th position. The backward pass sums
     the diagonals of tiles^T @ d(out) for d(w) and scatter-adds
     d(out) @ band^T over the overlapping tile columns for d(x). Every path
-    tallies the analytic N*Ho*Wo*Co*(Ci/g)*kh*kw MACs.
+    tallies the analytic N*Ho*Wo*Co*(Ci/groups)*kh*kw MACs.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ConfigError("conv2d expects 4-d input and weight")
     n, ci, h, wdt = x.shape
     co, cig, kh, kw = w.shape
-    if ci % groups or co % groups:
-        raise ConfigError(f"conv2d: channels ({ci}->{co}) not divisible by groups={groups}")
+    if groups != 1 and not groups == ci == co:
+        raise ConfigError(f"conv2d: groups={groups} on {ci}->{co} channels; only 1 (dense) "
+                          "or depthwise (groups = Ci = Co) are supported")
     if cig != ci // groups:
         raise ConfigError(f"conv2d: weight expects {cig} channels/group, input gives {ci // groups}")
     if b is not None and b.shape != (co,):
@@ -917,17 +904,15 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     else:
         hp, wp = h + 2 * pad, wdt + 2 * pad
         xf = _to_grid(x.data, hp, wp, pad, 1)
-        out = _from_grid(_dense_fwd(xf, wd, groups, wp), n, hp, wp, 0, stride, ho, wo)
+        out = _from_grid(_dense_fwd(xf, wd, wp), n, hp, wp, 0, stride, ho, wo)
 
         def grads(g):
             lead = (kh - 1) * wp + (kw - 1)
             gs = _to_grid(g, hp, wp, 0, stride, lead)
-            gw = _dense_wgrad(gs[:, lead:], xf, wd, groups, wp)
+            gw = _dense_wgrad(gs[:, lead:], xf, wd, wp)
             if not need_x:
                 return None, gw
-            wf = wd.reshape(groups, co // groups, cig, kh, kw).transpose(0, 2, 1, 3, 4)
-            gxf = _dense_fwd(gs, wf.reshape(ci, co // groups, kh, kw)[:, :, ::-1, ::-1],
-                             groups, wp)
+            gxf = _dense_fwd(gs, wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], wp)
             # freed before the crop, which would otherwise hold a third grid
             del gs
             return _from_grid(gxf, n, hp, wp, pad, 1, h, wdt), gw
@@ -945,10 +930,15 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     return _out("conv2d", inputs, out, bwd)
 
 
-def conv_transpose2d(x, w, b=None, stride=2):
-    """Transposed conv (gradient of conv2d w.r.t. its input).
+def conv_transpose2d(x, w, b=None):
+    """Transposed conv whose stride equals its kernel size.
 
-    x: [N, Ci, H, W]; w: [Ci, Co, kh, kw]; output spatial size (H-1)*stride + kh.
+    x: [N, Ci, H, W]; w: [Ci, Co, kh, kw]; the output is [N, Co, kh*H, kw*W],
+    each input pixel landing on its own kh x kw patch. The forward runs one
+    einsum per tap into the [N, Co, H, kh, W, kw] view of the output. As the
+    patches do not overlap, the backward pass regroups d(out) to
+    g3 = [N, Co*kh*kw, H*W]: d(x) is one GEMM of w, read as [Ci, Co*kh*kw],
+    with g3, and d(w) one tensordot of x with g3 over N and H*W.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ConfigError("conv_transpose2d expects 4-d input and weight")
@@ -958,25 +948,22 @@ def conv_transpose2d(x, w, b=None, stride=2):
         raise ConfigError(f"conv_transpose2d: input channels {ci} != weight in-channels {wci}")
     if b is not None and b.shape != (co,):
         raise ConfigError(f"conv_transpose2d: bias shape {b.shape} != ({co},)")
-    ho = (h - 1) * stride + kh
-    wo = (wdt - 1) * stride + kw
-    out = np.zeros((n, co, ho, wo), dtype=x.data.dtype)
+    xd, wd = x.data, w.data
+    out = np.empty((n, co, h, kh, wdt, kw), dtype=xd.dtype)
     for a in range(kh):
         for c in range(kw):
-            out[:, :, a:a + (h - 1) * stride + 1:stride, c:c + (wdt - 1) * stride + 1:stride] += \
-                np.einsum("ncij,cd->ndij", x.data, w.data[:, :, a, c])
+            out[:, :, :, a, :, c] = np.einsum("ncij,cd->ndij", xd, wd[:, :, a, c])
+    out = out.reshape(n, co, h * kh, wdt * kw)
     if b is not None:
         out += b.data[:, None, None]
     _tally("conv_transpose2d", n * h * wdt * kh * kw * ci * co)
+    x3, w2 = xd.reshape(n, ci, h * wdt), wd.reshape(ci, co * kh * kw)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        for a in range(kh):
-            for c in range(kw):
-                gsl = g[:, :, a:a + (h - 1) * stride + 1:stride, c:c + (wdt - 1) * stride + 1:stride]
-                gx += np.einsum("ndij,cd->ncij", gsl, w.data[:, :, a, c])
-                gw[:, :, a, c] = np.einsum("ncij,ndij->cd", x.data, gsl)
+        g3 = (g.reshape(n, co, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
+              .reshape(n, co * kh * kw, h * wdt))
+        gx = np.matmul(w2, g3).reshape(n, ci, h, wdt)
+        gw = np.tensordot(x3, g3, axes=([0, 2], [0, 2])).reshape(ci, co, kh, kw)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -167,3 +167,28 @@ class TestModelAccounting:
         assert "total params" in text
         recs = rep.to_records()
         assert all({"name", "params", "macs"} <= set(r) for r in recs)
+
+
+# Totals of `muvit count --size 64`, written down independently of the skip
+# table in model.py: the builder and both accounting routes read that table,
+# so a wrong row (a wrong source stage, an extra adapter) would leave them
+# agreeing with each other but not with these numbers.
+ARCHITECTURE_TOTALS_64 = {
+    ("base", "none"): (1_364_241, 70_629_664),
+    ("base", "horizontal"): (1_410_577, 84_285_728),
+    ("base", "skip1"): (1_373_521, 73_021_728),
+    ("base", "skip2"): (1_382_801, 73_619_744),
+    ("base", "skip3"): (1_419_793, 74_213_664),
+    ("large", "none"): (6_440_737, 275_493_568),
+    ("large", "horizontal"): (6_625_569, 329_937_600),
+    ("large", "skip1"): (6_477_729, 284_996_288),
+    ("large", "skip2"): (6_514_721, 287_371_968),
+    ("large", "skip3"): (6_662_433, 289_739_456),
+}
+
+
+@pytest.mark.parametrize("variant,skip_mode", sorted(ARCHITECTURE_TOTALS_64))
+def test_architecture_totals_at_64(variant, skip_mode):
+    cfg = ModelConfig.for_variant(variant, input_size=64, skip_mode=skip_mode)
+    params = count_params(build_model(cfg, seed=0)).total_params
+    assert (params, count_flops(cfg).total_macs) == ARCHITECTURE_TOTALS_64[variant, skip_mode]

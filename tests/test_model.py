@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from muvit import tensor as T
-from muvit.model import (ModelConfig, build_model, first_nonfinite_layer,
-                         set_mode)
+from muvit.model import ModelConfig, build_model, first_nonfinite_layer
 from muvit.tensor import ConfigError, Tensor, UsageError
 
 
@@ -39,6 +38,32 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig.for_variant("base", skip_mode="skip4")
 
+    def test_variant_fixes_channels_and_depths(self):
+        # a config records only the variant, so that alone must carry the widths
+        large = ModelConfig(variant="large")
+        assert large.channels == (32, 32, 64, 128, 256)
+        assert large.depths == (1, 1, 3, 3, 4)
+        with pytest.raises(TypeError):
+            ModelConfig(variant="large", channels=(16, 16, 32, 64, 128))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(input_size=-32), dict(input_size=0), dict(input_size=-64),
+        dict(convutr_kernels=(3, 3, -1)), dict(convutr_kernels=(-3, 3, 7)),
+        dict(lklgl_kernel=-9), dict(head_dim=0), dict(head_dim=-32),
+        dict(pool_ratio=0), dict(pool_ratio=-2),
+    ])
+    def test_unbuildable_sizes_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            ModelConfig.for_variant("base", **overrides)
+
+    def test_transconv_kernel_is_the_pool_ratio(self):
+        # the transposed conv adds back onto the unpooled map, so only a
+        # kernel equal to the pool ratio fits
+        model = build_model(ModelConfig.for_variant("base", input_size=64, pool_ratio=4), seed=0)
+        assert model.enc4[0].transconv.weight.shape == (64, 64, 4, 4)
+        with pytest.raises(TypeError):
+            ModelConfig(transconv_kernel=3)
+
     def test_token_count(self):
         assert ModelConfig.for_variant("base", input_size=256).token_count == 64
         assert ModelConfig.for_variant("base", input_size=64).token_count == 4
@@ -69,6 +94,24 @@ class TestBuildDeterminism:
         for name in pa:
             if name.startswith(("enc", "proj", "pos_embed", "stem")):
                 assert pa[name].data.tobytes() == pb[name].data.tobytes(), name
+
+
+class TestWiring:
+    @pytest.mark.parametrize("mode,adapters,pooled", [
+        ("none", [], None),
+        ("skip1", ["adapt1"], True),
+        ("skip2", ["adapt1", "adapt2"], True),
+        ("skip3", ["adapt1", "adapt2", "adapt3"], True),
+        ("horizontal", ["adapt1", "adapt2", "adapt3"], False),
+    ])
+    def test_module_order(self, mode, adapters, pooled):
+        # the module order fixes the parameter order, which is the checkpoint
+        # order and the row order of count_params
+        model = build_model(ModelConfig.for_variant("base", input_size=64, skip_mode=mode))
+        assert list(model._modules) == [
+            "enc1", "enc2", "enc3", "down4", "proj4", "proj4_bn", "enc4", "down5", "proj5",
+            "proj5_bn", "enc5", *adapters, "dec", "head"]
+        assert all(getattr(model, a).pool == pooled for a in adapters)
 
 
 class TestForward:
@@ -141,7 +184,7 @@ class TestModes:
     def test_eval_records_no_graph(self, rng):
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
-        set_mode(model, "eval")
+        model.eval()
         with T.record() as g:
             model(image_batch(rng, 1, 64))
         assert len(g.nodes) == 0
@@ -149,7 +192,7 @@ class TestModes:
     def test_train_records_graph(self, rng):
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
-        set_mode(model, "train")
+        model.train()
         with T.record() as g:
             model(image_batch(rng, 1, 64))
         assert len(g.nodes) > 100
@@ -157,8 +200,8 @@ class TestModes:
     def test_double_set_idempotent(self, rng):
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
-        set_mode(model, "eval")
-        set_mode(model, "eval")
+        model.eval()
+        model.eval()
         x = image_batch(rng, 1, 64)
         a = model(x).data.tobytes()
         b = model(x).data.tobytes()
@@ -168,20 +211,14 @@ class TestModes:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         x = image_batch(rng, 2, 64)
-        set_mode(model, "eval")
+        model.eval()
         before = model(x).data.copy()
         # a train-mode pass updates running statistics
-        set_mode(model, "train")
+        model.train()
         model(x)
-        set_mode(model, "eval")
+        model.eval()
         after = model(x).data
         assert not np.array_equal(before, after)
-
-    def test_bad_mode(self):
-        cfg = ModelConfig.for_variant("base", input_size=64)
-        model = build_model(cfg, seed=0)
-        with pytest.raises(UsageError):
-            set_mode(model, "predict")
 
 
 class TestDiagnostics:

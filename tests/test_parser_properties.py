@@ -13,7 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from muvit.data import (CONFIG_KEYS, ParseError, _parse_pnm,  # noqa: E402
                         config_doc_dumps, config_doc_loads, load_checkpoint,
-                        save_checkpoint)
+                        model_config_from_doc, save_checkpoint)
+from muvit.model import ModelConfig  # noqa: E402
 from muvit.tensor import ConfigError  # noqa: E402
 
 SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -67,6 +68,41 @@ def test_config_doc_one_value_replaced(key, value):
     doc = parse_or_own_error(config_doc_loads, "\n".join(lines))
     if doc is not None:
         assert set(doc) == set(CONFIG_KEYS)
+
+
+model_values = {key: st.one_of(values, st.text(max_size=12)) for key, values in {
+    "variant": st.sampled_from(["base", "large", "tiny"]),
+    "input_size": st.integers(-100, 600).map(str),
+    "num_classes": st.integers(-2, 4).map(str),
+    "skip_mode": st.sampled_from(["none", "horizontal", "skip1", "skip2", "skip3", "skip4"]),
+    "downsample_mode": st.sampled_from(["maxpool", "conv", "avg"]),
+    "kernels": st.lists(st.integers(-9, 9), max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    "literal_eq2": st.sampled_from(["true", "false", "yes"]),
+}.items()}
+
+
+def model_config_from_text(values):
+    """ModelConfig of the default document with some values replaced."""
+    lines = config_doc_dumps({}).splitlines()
+    for i, line in enumerate(lines):
+        key = line.split(" = ")[0]
+        if key in values:
+            lines[i] = f"{key} = {values[key]}"
+    return model_config_from_doc(config_doc_loads("\n".join(lines)))
+
+
+@SETTINGS
+@given(st.fixed_dictionaries({}, optional=model_values))
+@example({"input_size": "-32"})
+@example({"input_size": "0"})
+@example({"kernels": "3,3,-1"})
+def test_model_config_from_doc(values):
+    # the config is only constructed; no model is built, but an accepted
+    # config must have the positive sizes that building relies on
+    cfg = parse_or_own_error(model_config_from_text, values)
+    if cfg is not None:
+        assert isinstance(cfg, ModelConfig)
+        assert cfg.input_size >= 32 and min(cfg.convutr_kernels) >= 1
 
 
 def _valid_checkpoint(path):

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import erf, erfc
 
 from muvit import tensor as T
+from muvit.nn import Conv2d
 from muvit.tensor import ConfigError, Tensor
 
 from conftest import conv2d_reference
@@ -21,7 +22,7 @@ def t(arr, dtype="f64"):
 CONV_CASES = [
     dict(n=2, ci=3, co=4, h=6, w=7, k=3, stride=1, pad=1, groups=1),
     dict(n=1, ci=4, co=4, h=5, w=5, k=3, stride=1, pad=2, groups=4),
-    dict(n=2, ci=4, co=6, h=6, w=6, k=2, stride=2, pad=0, groups=2),
+    dict(n=2, ci=4, co=6, h=6, w=6, k=2, stride=2, pad=0, groups=1),
     dict(n=1, ci=2, co=5, h=8, w=8, k=1, stride=1, pad=0, groups=1),
     dict(n=1, ci=3, co=3, h=9, w=9, k=7, stride=1, pad=3, groups=3),
     # dense path: padding, shapes and strides the model does not use
@@ -103,95 +104,97 @@ class TestConv2d:
         with pytest.raises(ConfigError):
             T.conv2d(t(np.ones((1, 3, 4, 4))), t(np.ones((4, 1, 3, 3))), groups=2)
 
+    @pytest.mark.parametrize("ci,co,groups", [(4, 4, 2), (4, 8, 4), (4, 8, 2)])
+    def test_grouped_dense_rejected(self, ci, co, groups):
+        # only groups=1 and depthwise (groups = Ci = Co) are implemented
+        with pytest.raises(ConfigError, match="groups"):
+            T.conv2d(t(np.ones((1, ci, 4, 4))), t(np.ones((co, ci // groups, 3, 3))),
+                     pad=1, groups=groups)
+        with pytest.raises(ConfigError, match="groups"):
+            Conv2d(ci, co, 3, groups=groups)
+
     def test_nonintegral_output_rejected(self):
         with pytest.raises(ConfigError):
             T.conv2d(t(np.ones((1, 1, 6, 6))), t(np.ones((1, 1, 3, 3))), stride=2, pad=1)
 
 
-def dense_whole_span(x, w, stride, pad, groups):
+def dense_whole_span(x, w, stride, pad):
     """The dense forward as one GEMM per tap over the whole flat padded grid,
     before its columns were blocked. conv2d must keep these f32 sums bit for
     bit: the f32-vs-f64 training check downstream flips with last-bit changes
     in a ReLU input."""
     n, ci, h, wd = x.shape
-    co, cig, kh, kw = w.shape
-    cog, hp, wp = co // groups, h + 2 * pad, wd + 2 * pad
+    co, _, kh, kw = w.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
     xf = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).transpose(1, 0, 2, 3).reshape(ci, -1)
     span = xf.shape[1] - (kh - 1) * wp - (kw - 1)
     out = np.zeros((co, xf.shape[1]), dtype=x.dtype)
-    for gi in range(groups):
-        o, c = slice(gi * cog, (gi + 1) * cog), slice(gi * cig, (gi + 1) * cig)
-        for i in range(kh):
-            for j in range(kw):
-                out[o, :span] += w[o, :, i, j] @ xf[c, i * wp + j:i * wp + j + span]
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :span] += w[:, :, i, j] @ xf[:, i * wp + j:i * wp + j + span]
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     out = out.reshape(co, n, hp, wp)[:, :, :(ho - 1) * stride + 1:stride, :(wo - 1) * stride + 1:stride]
     return out.transpose(1, 0, 2, 3)
 
 
-def dense_reference(x, w, g, stride, pad, groups):
-    """(out, d(x), d(w)) of a grouped conv for d(out) = g, one kernel tap at
-    a time over the zero-padded input."""
+def dense_reference(x, w, g, stride, pad):
+    """(out, d(x), d(w)) of a dense conv for d(out) = g, one kernel tap at a
+    time over the zero-padded input."""
     n, ci, h, wd = x.shape
-    co, cig, kh, kw = w.shape
-    cog, ho, wo = co // groups, g.shape[2], g.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).reshape(n, groups, cig, h + 2 * pad, -1)
-    wg = w.reshape(groups, cog, cig, kh, kw)
-    gg = g.reshape(n, groups, cog, ho, wo)
-    out, gxp, gw = np.zeros(gg.shape), np.zeros(xp.shape), np.zeros(wg.shape)
+    co, _, kh, kw = w.shape
+    ho, wo = g.shape[2], g.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out, gxp, gw = np.zeros(g.shape), np.zeros(xp.shape), np.zeros(w.shape)
     for i in range(kh):
         for j in range(kw):
             win = (Ellipsis, slice(i, i + (ho - 1) * stride + 1, stride),
                    slice(j, j + (wo - 1) * stride + 1, stride))
-            out += np.einsum("goc,ngcyx->ngoyx", wg[..., i, j], xp[win], optimize=True)
-            gxp[win] += np.einsum("goc,ngoyx->ngcyx", wg[..., i, j], gg, optimize=True)
-            gw[..., i, j] = np.einsum("ngoyx,ngcyx->goc", gg, xp[win], optimize=True)
-    gx = gxp.reshape(n, ci, h + 2 * pad, -1)[:, :, pad:pad + h, pad:pad + wd]
-    return out.reshape(n, co, ho, wo), gx, gw.reshape(w.shape)
+            out += np.einsum("oc,ncyx->noyx", w[..., i, j], xp[win], optimize=True)
+            gxp[win] += np.einsum("oc,noyx->ncyx", w[..., i, j], g, optimize=True)
+            gw[..., i, j] = np.einsum("noyx,ncyx->oc", g, xp[win], optimize=True)
+    return out, gxp[:, :, pad:pad + h, pad:pad + wd], gw
 
 
-# (n, ci, co, h, w, k, stride, pad, groups); each spans at least 2 column blocks
+# (n, ci, co, h, w, k, stride, pad); each spans at least 2 column blocks
 DENSE_MULTIBLOCK_CASES = [
-    (2, 64, 8, 40, 40, 3, 1, 1, 1),
-    (2, 32, 16, 65, 65, 3, 2, 1, 2),
-    (1, 32, 16, 64, 64, 5, 1, 2, 1),
-    (2, 48, 24, 45, 45, 3, 2, 1, 1),
+    (2, 64, 8, 40, 40, 3, 1, 1),
+    (2, 32, 16, 65, 65, 3, 2, 1),
+    (1, 32, 16, 64, 64, 5, 1, 2),
+    (2, 48, 24, 45, 45, 3, 2, 1),
 ]
 
 
 class TestDenseConv:
-    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad,groups", [
-        (8, 3, 16, 64, 64, 3, 1, 1, 1),      # stem, train64
-        (1, 3, 16, 256, 256, 3, 1, 1, 1),    # stem, eval256
-        (8, 32, 32, 64, 64, 3, 1, 1, 1),     # dec5, train64
-        (2, 64, 8, 40, 40, 3, 1, 1, 1),      # several column blocks
-        (2, 8, 8, 33, 33, 3, 2, 1, 2),       # grouped, stride 2
-        (1, 32, 16, 64, 64, 5, 1, 2, 1),     # 5x5 kernel
+    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad", [
+        (8, 3, 16, 64, 64, 3, 1, 1),      # stem, train64
+        (1, 3, 16, 256, 256, 3, 1, 1),    # stem, eval256
+        (8, 32, 32, 64, 64, 3, 1, 1),     # dec5, train64
+        (2, 64, 8, 40, 40, 3, 1, 1),      # several column blocks
+        (2, 8, 8, 33, 33, 3, 2, 1),       # stride 2, odd size
+        (1, 32, 16, 64, 64, 5, 1, 2),     # 5x5 kernel
     ])
-    def test_f32_forward_bitwise_equal_to_whole_span_gemms(self, n, ci, co, h, w, k, stride,
-                                                           pad, groups):
+    def test_f32_forward_bitwise_equal_to_whole_span_gemms(self, n, ci, co, h, w, k, stride, pad):
         rng = np.random.default_rng(h * w + ci)
         x = rng.standard_normal((n, ci, h, w)).astype(np.float32)
-        wt = (rng.standard_normal((co, ci // groups, k, k)) * 0.2).astype(np.float32)
-        out = T.conv2d(Tensor(x, dtype="f32"), Tensor(wt, dtype="f32"), stride=stride, pad=pad,
-                       groups=groups).data
+        wt = (rng.standard_normal((co, ci, k, k)) * 0.2).astype(np.float32)
+        out = T.conv2d(Tensor(x, dtype="f32"), Tensor(wt, dtype="f32"), stride=stride,
+                       pad=pad).data
         assert out.dtype == np.float32
-        assert np.array_equal(out, dense_whole_span(x, wt, stride, pad, groups))
+        assert np.array_equal(out, dense_whole_span(x, wt, stride, pad))
 
-    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad,groups", DENSE_MULTIBLOCK_CASES)
+    @pytest.mark.parametrize("n,ci,co,h,w,k,stride,pad", DENSE_MULTIBLOCK_CASES)
     def test_multiblock_f64_forward_and_gradients_against_reference(
-            self, n, ci, co, h, w, k, stride, pad, groups):
+            self, n, ci, co, h, w, k, stride, pad):
         rng = np.random.default_rng(ci * co + k)
         hp, wp = h + 2 * pad, w + 2 * pad
-        assert len(T._dense_blocks(np.empty((co, ci // groups, k, k)), groups, wp,
-                                   n * hp * wp)) >= 2
+        assert len(T._dense_blocks(np.empty((co, ci, k, k)), wp, n * hp * wp)) >= 2
         x = Tensor(rng.standard_normal((n, ci, h, w)), requires_grad=True)
-        wt = Tensor(rng.standard_normal((co, ci // groups, k, k)), requires_grad=True)
+        wt = Tensor(rng.standard_normal((co, ci, k, k)), requires_grad=True)
         g = rng.standard_normal((n, co, (hp - k) // stride + 1, (wp - k) // stride + 1))
         with T.record():
-            out = T.conv2d(x, wt, stride=stride, pad=pad, groups=groups)
+            out = T.conv2d(x, wt, stride=stride, pad=pad)
             T.backward(T.tsum(T.mul(out, Tensor(g))))
-        ref_out, ref_gx, ref_gw = dense_reference(x.data, wt.data, g, stride, pad, groups)
+        ref_out, ref_gx, ref_gw = dense_reference(x.data, wt.data, g, stride, pad)
         np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(x.grad, ref_gx, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(wt.grad, ref_gw, rtol=1e-10, atol=1e-10)
@@ -220,21 +223,43 @@ class TestDenseConv:
 
 class TestConvTranspose2d:
     def test_scatter_one_element(self):
-        out = T.conv_transpose2d(t([[[[1.0]]]]), t(np.ones((1, 1, 2, 2))), stride=2)
+        out = T.conv_transpose2d(t([[[[1.0]]]]), t(np.ones((1, 1, 2, 2))))
         np.testing.assert_array_equal(out.data, np.ones((1, 1, 2, 2)))
 
     def test_zero_weights(self):
-        out = T.conv_transpose2d(t(np.ones((1, 2, 3, 3))), t(np.zeros((2, 4, 2, 2))), stride=2)
+        out = T.conv_transpose2d(t(np.ones((1, 2, 3, 3))), t(np.zeros((2, 4, 2, 2))))
         assert out.shape == (1, 4, 6, 6)
         assert np.all(out.data == 0.0)
 
     def test_nonoverlapping_scatter(self):
-        out = T.conv_transpose2d(t(np.ones((1, 1, 2, 2))), t(np.ones((1, 1, 2, 2))), stride=2)
+        out = T.conv_transpose2d(t(np.ones((1, 1, 2, 2))), t(np.ones((1, 1, 2, 2))))
         np.testing.assert_array_equal(out.data, np.ones((1, 1, 4, 4)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            T.conv_transpose2d(t(np.ones((1, 3, 2, 2))), t(np.ones((2, 2, 2, 2))), stride=2)
+            T.conv_transpose2d(t(np.ones((1, 3, 2, 2))), t(np.ones((2, 2, 2, 2))))
+
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (2, 2), (3, 3), (2, 3)])
+    def test_matches_per_tap_scatter(self, rng, kh, kw):
+        # input pixel (i, j) scatters x[:, :, i, j] @ w[:, :, a, c] onto output
+        # pixel (kh*i + a, kw*j + c); d(x) and d(w) are the matching per-tap
+        # gathers of d(out)
+        x = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5, kh, kw)), requires_grad=True)
+        g = rng.standard_normal((2, 5, 3 * kh, 4 * kw))
+        with T.record():
+            out = T.conv_transpose2d(x, w)
+            T.backward(T.tsum(T.mul(out, Tensor(g))))
+        ref, gx, gw = np.zeros(g.shape), np.zeros(x.shape), np.zeros(w.shape)
+        for a in range(kh):
+            for c in range(kw):
+                tap = (Ellipsis, slice(a, None, kh), slice(c, None, kw))
+                ref[tap] = np.einsum("ncij,cd->ndij", x.data, w.data[:, :, a, c])
+                gx += np.einsum("ndij,cd->ncij", g[tap], w.data[:, :, a, c])
+                gw[:, :, a, c] = np.einsum("ncij,ndij->cd", x.data, g[tap])
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-12, atol=1e-12)
 
 
 class TestPool2d:
@@ -470,11 +495,6 @@ class TestActivations:
         s = T.softmax(x).data
         assert np.all(s >= 0)
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_activation_dispatch(self):
-        assert T.activation(t([1.0]), "relu").data[0] == 1.0
-        with pytest.raises(ConfigError):
-            T.activation(t([1.0]), "swish")
 
 
 class TestLinearAndAttention:

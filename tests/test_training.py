@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from muvit import tensor as T
-from muvit.blocks import ConvUtrBlock
+from muvit.blocks import ConvUtrBlock, SkipAdapter
 from muvit.data import standardize, synth_dataset
 from muvit.model import ModelConfig, build_model
 from muvit.tensor import ConfigError, Tensor, UsageError, backward, record
@@ -437,6 +437,21 @@ class TestTapeHoldsWhatBackwardReads:
             backward(T.tsum(T.mul(out, out)))
         assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
         assert blk.dw.weight.grad is not None and blk.bn1.gamma.grad is not None
+
+    def test_dense_conv_input_freed_once_the_conv_consumed_it(self, rng):
+        # the dense conv's backward reads only its padded copy of the input
+        ad = SkipAdapter(8, 8, pool=False)
+        ad.train()
+        x = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32), requires_grad=True)
+        with record():
+            h = ad.bn1(T.relu(ad.conv1(x)))
+            refs = [weakref.ref(h), weakref.ref(h.data)]
+            out = ad.conv2(h)
+            del h
+            assert [r() for r in refs] == [None, None]
+            backward(T.tsum(T.mul(out, out)))
+        assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+        assert ad.conv2.weight.grad is not None and ad.bn1.gamma.grad is not None
 
     def test_conv_nodes_expose_input_shapes(self):
         # tracers read node.inputs[0].shape and [1].shape on every conv2d node,
