@@ -16,10 +16,10 @@ Norms, activations and pooling are carried as linear terms at one MAC per
 output element, so band comparisons include them but they never dominate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .model import MobileUViT, ModelConfig
+from .model import FFN_RATIO, HEAD_DIM, LKLGL_KERNEL, POOL_RATIO, MobileUViT, ModelConfig
 from .tensor import ConfigError, VerificationError
 
 
@@ -138,7 +138,7 @@ def analytic_param_rows(cfg: ModelConfig):
     """Closed-form per-layer trainable parameter counts from the config."""
     c = cfg.channels
     k = cfg.convutr_kernels
-    r = cfg.ffn_ratio
+    r = FFN_RATIO
     rows = []
     conv_down = cfg.downsample_mode == "conv"
 
@@ -157,7 +157,7 @@ def analytic_param_rows(cfg: ModelConfig):
     rows.append(Row("proj4(+bn)", c[3] * c[2] + 2 * c[3]))
     for b in range(cfg.depths[3]):
         rows.append(Row(f"enc4.block{b}",
-                        _lklgl_block_params(c[3], r, cfg.lklgl_kernel, cfg.pool_ratio)))
+                        _lklgl_block_params(c[3], r, LKLGL_KERNEL, POOL_RATIO)))
 
     if conv_down:
         rows.append(Row("down5", c[3] * 4))
@@ -239,15 +239,17 @@ def _down_rows(rows, name, h, w, d, mode):
         rows.append(Row(f"{name}", macs=h * w * d, kind="term"))
 
 
-def count_flops(cfg_or_model, input_size=None):
-    """Analytic per-layer MAC counts for a single image (N=1)."""
-    cfg = cfg_or_model.cfg if isinstance(cfg_or_model, MobileUViT) else cfg_or_model
-    s = cfg.input_size if input_size is None else input_size
-    if s % 32:
-        raise ConfigError(f"input size {s} not divisible by 32")
+def count_flops(cfg: ModelConfig, input_size=None):
+    """Analytic per-layer MAC counts for a single image (N=1).
+
+    input_size, if given, replaces the config's, and ModelConfig validates it.
+    """
+    if input_size is not None:
+        cfg = replace(cfg, input_size=input_size)
+    s = cfg.input_size
     c = cfg.channels
     k = cfg.convutr_kernels
-    r = cfg.ffn_ratio
+    r = FFN_RATIO
     rows = []
 
     # encoder stages 1-3
@@ -269,8 +271,8 @@ def count_flops(cfg_or_model, input_size=None):
     rows.append(Row("proj4", macs=conv_macs(h, h, c[2], c[3], 1), kind="conv"))
     _norm_rows(rows, "proj4_bn_relu", h * h * 2, c[3])
     d = c[3]
-    heads = d // cfg.head_dim
-    p = cfg.pool_ratio
+    heads = d // HEAD_DIM
+    p = POOL_RATIO
     hw = h * h
     t_pool = hw // (p * p)
     # literal published ordering runs attention on the unpooled grid
@@ -278,7 +280,7 @@ def count_flops(cfg_or_model, input_size=None):
     for b in range(cfg.depths[3]):
         name = f"enc4.block{b}"
         _norm_rows(rows, f"{name}.norm1", hw, d)
-        rows.append(Row(f"{name}.dsconv.dw", macs=hw * d * cfg.lklgl_kernel ** 2, kind="conv"))
+        rows.append(Row(f"{name}.dsconv.dw", macs=hw * d * LKLGL_KERNEL ** 2, kind="conv"))
         rows.append(Row(f"{name}.dsconv.pw", macs=hw * d * d, kind="conv"))
         _norm_rows(rows, f"{name}.norm2", hw, d)
         _ffn_rows(rows, f"{name}.ffn1", hw, d, r)
@@ -296,7 +298,7 @@ def count_flops(cfg_or_model, input_size=None):
     rows.append(Row("proj5", macs=conv_macs(h, h, c[3], c[4], 1), kind="conv"))
     _norm_rows(rows, "proj5_bn_relu", h * h * 2, c[4])
     d = c[4]
-    heads = d // cfg.head_dim
+    heads = d // HEAD_DIM
     tokens = h * h
     for b in range(cfg.depths[4]):
         name = f"enc5.block{b}"

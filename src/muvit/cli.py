@@ -18,7 +18,7 @@ from .data import (config_doc_loads, doc_from_model_config, load_checkpoint,
                    load_dataset, load_model_state, model_config_from_doc,
                    save_checkpoint, save_dataset, synth_dataset)
 from .metrics import evaluate
-from .model import ModelConfig, build_model
+from .model import SKIPS, VARIANTS, ModelConfig, build_model
 from .tensor import Tensor
 from .training import train_loop
 from .verify import THRESHOLD, run_suite
@@ -42,11 +42,10 @@ def _positive_int(text):
 
 
 def _add_model_flags(p):
-    p.add_argument("--variant", choices=("base", "large"), default="base")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="base")
     p.add_argument("--size", type=int, default=256, help="input size (divisible by 32)")
     p.add_argument("--classes", type=int, default=1)
-    p.add_argument("--skip-mode", choices=("none", "horizontal", "skip1", "skip2", "skip3"),
-                   default="skip3")
+    p.add_argument("--skip-mode", choices=tuple(SKIPS), default="skip3")
     p.add_argument("--downsample-mode", choices=("maxpool", "conv"), default="maxpool")
     p.add_argument("--kernels", type=_parse_kernels, default=None,
                    help="ConvUtr kernel ladder, e.g. 3,3,7")
@@ -67,18 +66,11 @@ def _config_from_flags(args):
     return ModelConfig.for_variant(args.variant, **overrides)
 
 
-def _model_state_arrays(model):
-    out = {}
-    for name, value in model.named_state().items():
-        out[name] = value.data if isinstance(value, Tensor) else value
-    return out
-
-
 def cmd_build(args):
     cfg = _config_from_flags(args)
     model = build_model(cfg, seed=args.seed)
     doc = doc_from_model_config(cfg, seed=args.seed)
-    save_checkpoint(args.out, doc, _model_state_arrays(model))
+    save_checkpoint(args.out, doc, model.named_state())
     rep = count_params(model)
     print(f"built {cfg.variant} model: {rep.total_params} trainable parameters "
           f"({rep.total_params / 1e6:.3f} M) -> {args.out}")
@@ -115,8 +107,7 @@ def cmd_train(args):
                         epochs=doc["epochs"], batch_size=doc["batch"],
                         schedule=doc["schedule"], lr0=doc["lr0"],
                         seed=doc["seed"], log_path=args.log)
-    state = {name: arr for name, arr in result.best_state.items()}
-    save_checkpoint(args.out, doc, state)
+    save_checkpoint(args.out, doc, result.best_state)
     print(f"trained {doc['epochs']} epochs on {len(train_set)} samples; "
           f"best val IoU {result.best_val_iou:.4f} (epoch {result.best_epoch}) -> {args.out}")
     return 0
@@ -141,7 +132,7 @@ def cmd_count(args):
     cfg = _config_from_flags(args)
     model = build_model(cfg, seed=0)
     prep = count_params(model)
-    frep = count_flops(cfg, args.size)
+    frep = count_flops(cfg)
     print(prep.to_text(f"parameters: {cfg.variant} @ {args.size}x{args.size}"))
     print()
     print(frep.to_text(f"multiply-accumulates: {cfg.variant} @ {args.size}x{args.size}"))

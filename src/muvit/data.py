@@ -448,13 +448,11 @@ def load_checkpoint(path):
 
 def load_model_state(model, tensors):
     """Copies named tensors into the model; rejects the first mismatch."""
-    from .tensor import Tensor
     state = model.named_state()
-    for name, value in state.items():
+    for name, target in state.items():
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor '{name}'")
         arr = tensors[name]
-        target = value.data if isinstance(value, Tensor) else value
         if tuple(arr.shape) != tuple(target.shape):
             raise ConfigError(f"checkpoint tensor '{name}' has shape {tuple(arr.shape)}, "
                               f"model expects {tuple(target.shape)}")

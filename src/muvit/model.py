@@ -41,16 +41,25 @@ SKIPS = {
 }
 
 
+# Shared by both variants. The LKLGL transposed conv redistributes each pooled
+# token over a POOL_RATIO x POOL_RATIO patch, so its kernel is POOL_RATIO.
+LKLGL_KERNEL = 9
+POOL_RATIO = 2
+FFN_RATIO = 6
+HEAD_DIM = 32
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """The variant fixes channels and depths; the LKLGL transposed conv
-    redistributes by the pool ratio, so its kernel is pool_ratio."""
+    """Every field a checkpoint's config document carries, plus the dtype.
+
+    The variant fixes channels and depths; the LKLGL kernel, pool ratio, FFN
+    ratio and head width are the module constants above. With input_size a
+    multiple of 32, every width divides by HEAD_DIM and the stage-4 grid by
+    POOL_RATIO.
+    """
     variant: str = "base"
     convutr_kernels: tuple = (3, 3, 7)
-    lklgl_kernel: int = 9
-    pool_ratio: int = 2
-    ffn_ratio: int = 6
-    head_dim: int = 32
     num_classes: int = 1
     input_size: int = 256
     skip_mode: str = "skip3"
@@ -63,7 +72,7 @@ class ModelConfig:
             raise ConfigError(f"unknown variant '{self.variant}'")
         if len(self.convutr_kernels) != 3:
             raise ConfigError("config needs 3 ConvUtr kernel sizes")
-        if any(k < 1 or k % 2 == 0 for k in (*self.convutr_kernels, self.lklgl_kernel)):
+        if any(k < 1 or k % 2 == 0 for k in self.convutr_kernels):
             raise ConfigError("conv kernels must be positive and odd")
         if self.input_size < 32 or self.input_size % 32:
             raise ConfigError(f"input_size {self.input_size} is not a positive multiple of 32")
@@ -71,13 +80,6 @@ class ModelConfig:
             raise ConfigError(f"unknown skip mode '{self.skip_mode}'")
         if self.downsample_mode not in ("maxpool", "conv"):
             raise ConfigError(f"unknown downsample mode '{self.downsample_mode}'")
-        if self.head_dim < 1 or self.pool_ratio < 1:
-            raise ConfigError("head_dim and pool_ratio must be >= 1")
-        for d in (self.channels[3], self.channels[4]):
-            if d % self.head_dim:
-                raise ConfigError(f"channels {d} not divisible by head_dim {self.head_dim}")
-        if (self.input_size // 16) % self.pool_ratio:
-            raise ConfigError("stage-4 grid not divisible by the pool ratio")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.dtype not in ("f32", "f64"):
@@ -134,9 +136,9 @@ class MobileUViT(Module):
         self.down4 = Downsample(c[2], dm, dtype=dt)
         self.proj4 = Conv2d(c[2], c[3], 1, bias=False, dtype=dt)
         self.proj4_bn = BatchNorm2d(c[3], dtype=dt)
-        heads4 = c[3] // cfg.head_dim
+        heads4 = c[3] // HEAD_DIM
         self.enc4 = ModuleList([
-            LKLGLBlock(c[3], heads4, cfg.lklgl_kernel, cfg.pool_ratio, cfg.ffn_ratio,
+            LKLGLBlock(c[3], heads4, LKLGL_KERNEL, POOL_RATIO, FFN_RATIO,
                        cfg.literal_eq2, dtype=dt)
             for _ in range(cfg.depths[3])])
 
@@ -144,9 +146,9 @@ class MobileUViT(Module):
         self.proj5 = Conv2d(c[3], c[4], 1, bias=False, dtype=dt)
         self.proj5_bn = BatchNorm2d(c[4], dtype=dt)
         self.pos_embed = nn._param((1, cfg.token_count, c[4]), dt, "zero")
-        heads5 = c[4] // cfg.head_dim
+        heads5 = c[4] // HEAD_DIM
         self.enc5 = ModuleList([
-            TransformerBlock(c[4], heads5, cfg.ffn_ratio, dtype=dt)
+            TransformerBlock(c[4], heads5, FFN_RATIO, dtype=dt)
             for _ in range(cfg.depths[4])])
 
         for row in cfg.skips:
@@ -224,14 +226,14 @@ def first_nonfinite_layer(model, images):
     """Name of the first stage producing non-finite values, or None.
 
     Re-runs the forward in the model's current mode without recording a tape
-    or checking finiteness per op; train-mode BatchNorm running statistics
-    are restored afterwards, so the call leaves the model as it found it.
-    Errors other than non-finite values propagate.
+    and checks the output of each stage in turn; train-mode BatchNorm running
+    statistics are restored afterwards, so the call leaves the model as it
+    found it. Errors other than non-finite values propagate.
     """
     taps = {}
     saved = [(b, b.copy()) for _, b in model.named_buffers()]
     try:
-        with T.no_grad(), T.finite_checks(False):
+        with T.no_grad():
             model.forward(images, taps=taps)
     finally:
         for buf, value in saved:

@@ -55,8 +55,9 @@ class Module:
             yield from m.named_buffers(prefix + name + ".")
 
     def named_state(self):
-        """Parameters then buffers, each under its stable dotted name."""
-        out = dict(self.named_parameters())
+        """The live arrays of the parameters then the buffers, each under its
+        stable dotted name."""
+        out = {name: p.data for name, p in self.named_parameters()}
         for name, b in self.named_buffers():
             if name in out:
                 raise ConfigError(f"duplicate state name '{name}'")

@@ -123,61 +123,11 @@ class Tensor:
             raise UsageError("item() requires a scalar tensor")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
-    def astype(self, dtype):
-        return Tensor(self.data.astype(DTYPES.get(dtype, dtype)), self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar used by loss assembly and tests
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-
-def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +175,10 @@ class Graph:
         self.nodes = []
         self.keys = set()
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 _SERIAL = itertools.count(1)
 _GRAPH = None
 _MACS = None
-_FINITE_CHECKS = False
 
 
 @contextmanager
@@ -266,10 +212,6 @@ def no_grad():
         _GRAPH = prev
 
 
-def active_graph():
-    return _GRAPH
-
-
 class MacCounter:
     """Shadow multiply-accumulate counter fed by conv/linear/matmul forwards."""
 
@@ -299,21 +241,7 @@ def _tally(op, macs):
         _MACS.add(op, int(macs))
 
 
-@contextmanager
-def finite_checks(enabled=True):
-    """Verify every op output is finite; raises VerificationError on NaN/Inf."""
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    try:
-        yield
-    finally:
-        _FINITE_CHECKS = prev
-
-
 def _out(op, inputs, data, bwd):
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
-        raise VerificationError(f"non-finite values produced by op '{op}'")
     t = Tensor(data)
     g = _GRAPH
     if g is not None and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
@@ -972,8 +900,8 @@ def conv_transpose2d(x, w, b=None):
     return _out("conv_transpose2d", inputs, out, bwd)
 
 
-def pool2d(x, kind, k, stride=None):
-    """Non-overlapping max/avg pooling (k == stride); H, W must divide by k.
+def pool2d(x, kind, k):
+    """Non-overlapping k x k max/avg pooling (stride k); H, W must divide by k.
 
     Max-pool's forward is a running np.maximum over the k*k strided views
     x[..., i::k, j::k], with no copy of the windows. Its backward routes the
@@ -982,9 +910,6 @@ def pool2d(x, kind, k, stride=None):
     equals the output and no earlier offset did. The tape keeps only x and
     the output.
     """
-    stride = k if stride is None else stride
-    if stride != k:
-        raise ConfigError("pool2d supports k == stride only")
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ConfigError(f"pool2d: spatial dims {h}x{w} not divisible by {k}")

@@ -245,14 +245,12 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                 if res.mean_iou > best_iou:
                     best_iou = res.mean_iou
                     best_epoch = epoch
-                    best_state = {k: np.array(v.data if isinstance(v, Tensor) else v)
-                                  for k, v in model.named_state().items()}
+                    best_state = {k: v.copy() for k, v in model.named_state().items()}
                 model.train()
     finally:
         if log_file:
             log_file.close()
     if best_state is None:
-        best_state = {k: np.array(v.data if isinstance(v, Tensor) else v)
-                      for k, v in model.named_state().items()}
+        best_state = {k: v.copy() for k, v in model.named_state().items()}
     return TrainResult(history=history, epochs=epoch_log, best_val_iou=best_iou,
                        best_epoch=best_epoch, best_state=best_state, optimizer=opt)

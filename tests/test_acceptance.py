@@ -223,8 +223,7 @@ def test_criterion_11_persistence_and_determinism(tmp_path):
     budget = Budget(300)
     cfg = ModelConfig.for_variant("base", input_size=64)
     model = build_model(cfg, seed=0)
-    state = {k: (v.data if isinstance(v, Tensor) else v)
-             for k, v in model.named_state().items()}
+    state = model.named_state()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     doc = doc_from_model_config(cfg, seed=0)
     save_checkpoint(str(p1), doc, state)

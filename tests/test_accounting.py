@@ -109,6 +109,15 @@ class TestModelAccounting:
         assert len(names) == len(set(names))
         assert set(names) == set(model.named_state().keys())
 
+    @pytest.mark.parametrize("size", [0, -32, 48])
+    def test_count_flops_rejects_unbuildable_size(self, size):
+        with pytest.raises(ConfigError, match="input_size"):
+            count_flops(ModelConfig.for_variant("base"), size)
+
+    def test_count_flops_size_overrides_config(self):
+        cfg = ModelConfig.for_variant("base", input_size=256)
+        assert count_flops(cfg, 64) == count_flops(ModelConfig.for_variant("base", input_size=64))
+
     def test_flops_additive_over_rows(self):
         rep = count_flops(ModelConfig.for_variant("base"), 256)
         assert rep.total_macs == sum(r.macs for r in rep.rows)

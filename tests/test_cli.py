@@ -17,7 +17,8 @@ def tree_digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             h.update(os.path.relpath(path, root).encode())
-            h.update(open(path, "rb").read())
+            with open(path, "rb") as f:
+                h.update(f.read())
     return h.hexdigest()
 
 
@@ -46,7 +47,8 @@ class TestBuildAndEval:
                         "--out", data]) == 0
         report = str(tmp_path / "eval.json")
         assert run_cli(["eval", "--ckpt", ckpt, "--data", data, "--json", report]) == 0
-        rec = json.load(open(report))
+        with open(report) as f:
+            rec = json.load(f)
         assert "mean_iou" in rec and len(rec["samples"]) == 2
 
     def test_eval_missing_checkpoint_fails(self, tmp_path, capsys):
@@ -68,7 +70,8 @@ class TestCountCommand:
         path = str(tmp_path / "count.json")
         assert run_cli(["count", "--variant", "base", "--size", "64",
                         "--json", path]) == 0
-        rec = json.load(open(path))
+        with open(path) as f:
+            rec = json.load(f)
         assert rec["total_flops"] == 2 * rec["total_macs"]
         assert any(r["name"] == "enc1.proj" for r in rec["flops"])
 
@@ -89,7 +92,8 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", str(cfg_path), "--synth", "9,8",
                         "--out", ckpt, "--log", log]) == 0
         assert os.path.exists(ckpt)
-        lines = [json.loads(line) for line in open(log)]
+        with open(log) as f:
+            lines = [json.loads(line) for line in f]
         assert any("val_iou" in r for r in lines)
 
 

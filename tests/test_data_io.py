@@ -1,5 +1,6 @@
 """PNM files, synthetic data generation, checkpoints, config documents."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestConfigDoc:
         with pytest.raises(ConfigError, match=rf"'{key}'.*\(line {lineno}\)"):
             config_doc_loads("\n".join(lines))
 
+    def test_every_config_field_survives_the_document(self):
+        cfg = ModelConfig(variant="large", convutr_kernels=(5, 3, 9), num_classes=3,
+                          input_size=128, skip_mode="horizontal", downsample_mode="conv",
+                          literal_eq2=True)
+        assert model_config_from_doc(doc_from_model_config(cfg)) == cfg
+        text = config_doc_dumps(doc_from_model_config(cfg))
+        assert model_config_from_doc(config_doc_loads(text)) == cfg
+        # the document leaves out only the dtype, which the tensors of a
+        # checkpoint carry themselves; any other field would be lost on reload
+        assert {f.name for f in dataclasses.fields(ModelConfig)} == {
+            "variant", "convutr_kernels", "num_classes", "input_size", "skip_mode",
+            "downsample_mode", "literal_eq2", "dtype"}
+
     def test_to_model_config(self):
         doc = config_doc_loads(config_doc_dumps({"variant": "large", "input_size": 64}))
         cfg = model_config_from_doc(doc)
@@ -186,17 +200,12 @@ class TestCheckpoint:
     def _doc(self, cfg, seed=0):
         return doc_from_model_config(cfg, seed=seed)
 
-    def _state(self, model):
-        from muvit.tensor import Tensor
-        return {k: (v.data if isinstance(v, Tensor) else v)
-                for k, v in model.named_state().items()}
-
     def test_save_load_save_bitwise(self, tmp_path):
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_checkpoint(str(p1), self._doc(cfg), self._state(model))
+        save_checkpoint(str(p1), self._doc(cfg), model.named_state())
         doc, tensors, optim = load_checkpoint(str(p1))
         save_checkpoint(str(p2), doc, tensors, optim)
         assert p1.read_bytes() == p2.read_bytes()
@@ -205,7 +214,7 @@ class TestCheckpoint:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=1)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, self._doc(cfg, seed=1), self._state(model))
+        save_checkpoint(path, self._doc(cfg, seed=1), model.named_state())
         _, tensors, _ = load_checkpoint(path)
         model2 = build_model(cfg, seed=2)
         load_model_state(model2, tensors)
@@ -216,7 +225,7 @@ class TestCheckpoint:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, self._doc(cfg), self._state(model))
+        save_checkpoint(path, self._doc(cfg), model.named_state())
         _, tensors, optim = load_checkpoint(path)
         assert len(tensors) + len(optim) == len(count_params(model).rows)
 
@@ -224,7 +233,7 @@ class TestCheckpoint:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, self._doc(cfg), self._state(model))
+        save_checkpoint(path, self._doc(cfg), model.named_state())
         _, tensors, _ = load_checkpoint(path)
         other = build_model(ModelConfig.for_variant("large", input_size=64), seed=0)
         # pos_embed is the first tensor in the model's state order
@@ -237,7 +246,7 @@ class TestCheckpoint:
         opt_state = {"optim.velocity.head.bias": np.zeros(1, dtype=np.float32),
                      "optim.step": np.array([12.0])}
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(path, self._doc(cfg), self._state(model), opt_state)
+        save_checkpoint(path, self._doc(cfg), model.named_state(), opt_state)
         _, tensors, optim = load_checkpoint(path)
         assert "optim.step" in optim
         assert not any(k.startswith("optim.") for k in tensors)
@@ -252,7 +261,7 @@ class TestCheckpoint:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         p = tmp_path / "m.ckpt"
-        save_checkpoint(str(p), self._doc(cfg), self._state(model))
+        save_checkpoint(str(p), self._doc(cfg), model.named_state())
         raw = bytearray(p.read_bytes())
         raw[4] = 99
         p.write_bytes(bytes(raw))
@@ -263,7 +272,7 @@ class TestCheckpoint:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         p = tmp_path / "m.ckpt"
-        save_checkpoint(str(p), self._doc(cfg), self._state(model))
+        save_checkpoint(str(p), self._doc(cfg), model.named_state())
         raw = p.read_bytes()
         p.write_bytes(raw[:-10])
         with pytest.raises(ParseError, match="truncated"):
@@ -338,7 +347,7 @@ class TestCheckpoint:
         import muvit.data as data
         cfg = ModelConfig.for_variant("base", input_size=64)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), self._doc(cfg), self._state(build_model(cfg, seed=0)))
+        save_checkpoint(str(path), self._doc(cfg), build_model(cfg, seed=0).named_state())
         before = path.read_bytes()
         real_open = open
 
@@ -369,7 +378,7 @@ class TestCheckpoint:
         monkeypatch.setattr(data, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(str(path), self._doc(cfg, seed=1),
-                            self._state(build_model(cfg, seed=1)))
+                            build_model(cfg, seed=1).named_state())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 

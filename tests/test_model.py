@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from muvit import tensor as T
-from muvit.model import ModelConfig, build_model, first_nonfinite_layer
+from muvit.blocks import LKLGLBlock
+from muvit.model import POOL_RATIO, ModelConfig, build_model, first_nonfinite_layer
 from muvit.tensor import ConfigError, Tensor, UsageError
 
 
@@ -49,8 +50,8 @@ class TestModelConfig:
     @pytest.mark.parametrize("overrides", [
         dict(input_size=-32), dict(input_size=0), dict(input_size=-64),
         dict(convutr_kernels=(3, 3, -1)), dict(convutr_kernels=(-3, 3, 7)),
-        dict(lklgl_kernel=-9), dict(head_dim=0), dict(head_dim=-32),
-        dict(pool_ratio=0), dict(pool_ratio=-2),
+        dict(convutr_kernels=(0, 3, 7)), dict(convutr_kernels=(3, 3)),
+        dict(input_size=16), dict(input_size=48), dict(num_classes=0),
     ])
     def test_unbuildable_sizes_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -58,11 +59,16 @@ class TestModelConfig:
 
     def test_transconv_kernel_is_the_pool_ratio(self):
         # the transposed conv adds back onto the unpooled map, so only a
-        # kernel equal to the pool ratio fits
-        model = build_model(ModelConfig.for_variant("base", input_size=64, pool_ratio=4), seed=0)
-        assert model.enc4[0].transconv.weight.shape == (64, 64, 4, 4)
-        with pytest.raises(TypeError):
-            ModelConfig(transconv_kernel=3)
+        # kernel equal to the pool ratio fits; like the other block
+        # hyperparameters, that ratio is a constant no config can set
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        assert model.enc4[0].transconv.weight.shape == (64, 64, POOL_RATIO, POOL_RATIO)
+        blk = LKLGLBlock(8, 2, pool_ratio=4, ffn_ratio=2)
+        assert blk.transconv.weight.shape == (8, 8, 4, 4)
+        assert blk(Tensor(np.ones((1, 8, 8, 8), dtype=np.float32))).shape == (1, 8, 8, 8)
+        for field in ("transconv_kernel", "lklgl_kernel", "pool_ratio", "ffn_ratio", "head_dim"):
+            with pytest.raises(TypeError):
+                ModelConfig(**{field: 3})
 
     def test_token_count(self):
         assert ModelConfig.for_variant("base", input_size=256).token_count == 64
