@@ -59,10 +59,26 @@ d(out) to the first row-major maximum of each window.
 
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
+
+Threads. The dense conv splits its column blocks over worker threads (the
+forward and d(x), which runs through the same kernel) and d(w) its kernel
+taps, when each per-block GEMM is large enough; GELU splits its 64K-element
+chunks, and eval-mode BatchNorm its channels, in groups of at least one
+chunk. Each item writes its own slice of the output with the arithmetic of
+the serial loop: a block's columns sum their taps in the same order, a tap
+sums the blocks in the same order, and elementwise work is per element. So
+every value and gradient is bitwise the same at any worker count. Workers
+run numpy and BLAS only; the tape, the MAC counter and the serial stay on
+the calling thread. There are cores // BLAS threads workers, with the BLAS
+thread count read, as OpenBLAS reads it, from the first of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set; an
+unset or unparsable count means BLAS already spreads over every core, and
+then there is one worker and the serial path runs.
 """
 
 import itertools
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -305,6 +321,70 @@ def _sum_to_shape(g, shape):
 
 
 # ---------------------------------------------------------------------------
+# worker threads
+
+# the variables OpenBLAS reads its thread count from at start-up, in its order
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_rule(cores, environ):
+    """(workers, source): cores // the BLAS thread count, at least 1. That
+    count is the value of the first variable of _BLAS_ENV set in `environ`,
+    named with its value in `source` (None if none is set); unset, unparsable
+    or below 1 it is `cores`, as an unpinned BLAS already uses every core."""
+    source, blas = None, cores
+    for var in _BLAS_ENV:
+        if var in environ:
+            source = f"{var}={environ[var]}"
+            try:
+                blas = int(environ[var])
+            except ValueError:
+                pass
+            break
+    return (max(1, cores // blas) if blas >= 1 else 1), source
+
+
+_WORKERS, _WORKERS_FROM = _worker_rule(len(os.sched_getaffinity(0)), os.environ)
+_POOL = None
+
+
+def workers():
+    """(count, source) of the worker threads the dense conv, GELU and
+    eval-mode BatchNorm split over; source names the BLAS thread variable the
+    count was derived from, or is None if none is set."""
+    return _WORKERS, _WORKERS_FROM
+
+
+def _parallel(fn, items):
+    """Call fn(group) on `items` cut into contiguous groups, one per worker.
+
+    The first group runs on the calling thread, the others on a pool of
+    _WORKERS - 1 threads made on first use. fn must run numpy only, never a
+    recorded op (the tape, the MAC counter and the serial are not
+    thread-safe), and write each item's result into its own slice of an
+    output. Returns once every group has finished; the first error in group
+    order is then raised.
+    """
+    k = min(_WORKERS, len(items))
+    if k <= 1:
+        fn(items)
+        return
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="muvit")
+    cuts = [-(-len(items) * i // k) for i in range(k + 1)]
+    futures = [_POOL.submit(fn, items[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        fn(items[:cuts[1]])
+    finally:
+        errors = [f.exception() for f in futures]
+    for e in errors:
+        if e is not None:
+            raise e
+
+
+# ---------------------------------------------------------------------------
 # elementwise / structural ops
 
 
@@ -449,44 +529,49 @@ def _gelu_f32(d, need_grad):
     """f32 GELU x * Phi(x) = max(x, 0) - |x| Q(|x|) with Q from `erfcc`,
     and, if need_grad, dGELU/dx = Phi(x) + x phi(x) = 1/2 + sign(x) *
     (1/2 - Q(|x|) + |x| phi(x)). Runs over 64K-element chunks, so every
-    intermediate stays in cache, and writes into preallocated buffers."""
+    intermediate stays in cache, split over the workers with one set of
+    scratch buffers per group; every element's arithmetic is its own."""
     xs = d.reshape(-1)
     out = np.empty(d.shape, np.float32)
     dg = np.empty(d.shape, np.float32) if need_grad else None
     outs = out.reshape(-1)
     dgs = dg.reshape(-1) if need_grad else None
     size = xs.size
-    bufs = np.empty((3, min(size, _GELU_CHUNK)), np.float32)
-    for s in range(0, size, _GELU_CHUNK):
-        x = xs[s:s + _GELU_CHUNK]
-        o = outs[s:s + _GELU_CHUNK]
-        a, t, q = bufs[:, :x.size]
-        np.abs(x, out=a)
-        np.add(a, _TWO_SQRT2, out=t)
-        np.divide(_TWO_SQRT2, t, out=t)
-        np.multiply(t, _ERFCC[9], out=q)
-        for c in _ERFCC[8:0:-1]:
-            q += c
-            q *= t
-        q += _ERFCC[0]
-        np.multiply(a, a, out=o)
-        o *= np.float32(-0.5)
-        q += o
-        if need_grad:
-            dx = dgs[s:s + _GELU_CHUNK]
-            np.exp(o, out=dx)
-        np.exp(q, out=q)
-        q *= t                                  # Q(|x|)
-        if need_grad:
-            dx *= a
-            dx *= np.float32(_INV_SQRT_2PI)     # |x| phi(x)
-            dx -= q
-            dx += np.float32(0.5)
-            np.copysign(dx, x, out=dx)
-            dx += np.float32(0.5)
-        np.maximum(x, np.float32(0.0), out=o)
-        q *= a
-        o -= q
+
+    def chunks(starts):
+        bufs = np.empty((3, min(size, _GELU_CHUNK)), np.float32)
+        for s in starts:
+            x = xs[s:s + _GELU_CHUNK]
+            o = outs[s:s + _GELU_CHUNK]
+            a, t, q = bufs[:, :x.size]
+            np.abs(x, out=a)
+            np.add(a, _TWO_SQRT2, out=t)
+            np.divide(_TWO_SQRT2, t, out=t)
+            np.multiply(t, _ERFCC[9], out=q)
+            for c in _ERFCC[8:0:-1]:
+                q += c
+                q *= t
+            q += _ERFCC[0]
+            np.multiply(a, a, out=o)
+            o *= np.float32(-0.5)
+            q += o
+            if need_grad:
+                dx = dgs[s:s + _GELU_CHUNK]
+                np.exp(o, out=dx)
+            np.exp(q, out=q)
+            q *= t                                  # Q(|x|)
+            if need_grad:
+                dx *= a
+                dx *= np.float32(_INV_SQRT_2PI)     # |x| phi(x)
+                dx -= q
+                dx += np.float32(0.5)
+                np.copysign(dx, x, out=dx)
+                dx += np.float32(0.5)
+            np.maximum(x, np.float32(0.0), out=o)
+            q *= a
+            o -= q
+
+    _parallel(chunks, range(0, size, _GELU_CHUNK))
     return out, dg
 
 
@@ -611,6 +696,10 @@ def _from_grid(buf, n, hp, wp, top, step, h, w):
 # slab (512 KB in f32), so that one block of the input, the output and the
 # per-tap product stay in L2 cache across the kernel taps.
 _BLOCK = 1 << 17
+# d(w) splits its taps over the workers only when each per-block GEMM does
+# at least this many MACs: threads hand the interpreter lock back and forth
+# on every numpy call, which costs more than a smaller GEMM saves.
+_SPLIT_MACS = 1 << 20
 
 
 def _dense_blocks(w, wp, m):
@@ -627,7 +716,7 @@ def _dense_blocks(w, wp, m):
 
 def _dense_fwd(xf, w, wp):
     """Stride-1 correlation on the flat padded buffer, one GEMM per tap and
-    column block.
+    column block, the blocks split over the workers.
 
     out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span; the
     positions whose window wraps into the next row or image lie in the margin
@@ -639,31 +728,45 @@ def _dense_fwd(xf, w, wp):
     blocks = _dense_blocks(w, wp, xf.shape[1])
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = np.zeros((co, xf.shape[1]), dtype=xf.dtype)
-    tmp = np.empty((co, blocks[0][1]), dtype=xf.dtype)
-    for q, l in blocks:
-        acc, t = out[:, q:q + l], tmp[:, :l]
-        for i in range(kh):
-            for j in range(kw):
-                off = q + i * wp + j
-                np.matmul(wt[i, j], xf[:, off:off + l], out=t)
-                acc += t
+
+    def run(group):
+        tmp = np.empty((co, blocks[0][1]), dtype=xf.dtype)
+        for q, l in group:
+            acc, t = out[:, q:q + l], tmp[:, :l]
+            for i in range(kh):
+                for j in range(kw):
+                    off = q + i * wp + j
+                    np.matmul(wt[i, j], xf[:, off:off + l], out=t)
+                    acc += t
+
+    _parallel(run, blocks)
     return out
 
 
 def _dense_wgrad(gs, xf, w, wp):
     """d(w) of _dense_fwd, with gs = d(out) on the same flat grid, zero in
     the margin: per column block and tap, gs[:, q:q+l] @ xf[:, q+off:q+off+l].T
-    accumulated over the blocks of _dense_fwd."""
+    accumulated over the blocks of _dense_fwd in order. The taps are split
+    over the workers when each GEMM does at least _SPLIT_MACS MACs, so each
+    tap's sum runs as it does serially."""
     co, ci, kh, kw = w.shape
     gw = np.zeros((kh, kw, co, ci), dtype=xf.dtype)
-    tmp = np.empty((co, ci), dtype=xf.dtype)
-    for q, l in _dense_blocks(w, wp, xf.shape[1]):
-        go = gs[:, q:q + l]
-        for i in range(kh):
-            for j in range(kw):
+    blocks = _dense_blocks(w, wp, xf.shape[1])
+
+    def run(taps):
+        tmp = np.empty((co, ci), dtype=xf.dtype)
+        for q, l in blocks:
+            go = gs[:, q:q + l]
+            for i, j in taps:
                 off = q + i * wp + j
                 np.matmul(go, xf[:, off:off + l].T, out=tmp)
                 gw[i, j] += tmp
+
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    if co * ci * blocks[0][1] < _SPLIT_MACS:
+        run(taps)
+    else:
+        _parallel(run, taps)
     return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
@@ -1012,8 +1115,8 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     r.sum(axis=2).sum(axis=0) / m and the same on the centred squares, which
     is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
     once into xhat, scales it in place and writes the affine into the output
-    with out=; the backward takes d(gamma) and d(beta) from the same
-    contiguous reductions.
+    with out=, in eval mode split over the workers by channel groups; the
+    backward takes d(gamma) and d(beta) from the same contiguous reductions.
     """
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -1024,11 +1127,11 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     dtype = d.dtype
     m = n * h * w
     r = d.reshape(n, c, h * w)
-    mu = r.sum(axis=2).sum(axis=0) / m if training else running[0]
-    xhat = r - mu[:, None]
     out = np.empty(x.shape, d.dtype)
     o = out.reshape(n, c, h * w)
     if training:
+        mu = r.sum(axis=2).sum(axis=0) / m
+        xhat = r - mu[:, None]
         np.multiply(xhat, xhat, out=o)
         var = o.sum(axis=2).sum(axis=0) / m
         if running is not None:
@@ -1038,11 +1141,27 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
             rv *= 1.0 - momentum
             rv += momentum * var
     else:
-        var = running[1]
+        mu, var = running
+        xhat = np.empty(r.shape, np.result_type(r, mu))
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat *= invstd[:, None]
-    np.multiply(xhat, gamma.data[:, None], out=o)
-    o += beta.data[:, None]
+
+    def normalize(groups):
+        # a range of channel-group starts; its stop ends the last group
+        cs = slice(groups.start, groups.stop)
+        xh = xhat[:, cs]
+        if not training:
+            np.subtract(r[:, cs], mu[cs, None], out=xh)
+        xh *= invstd[cs, None]
+        np.multiply(xh, gamma.data[cs, None], out=o[:, cs])
+        o[:, cs] += beta.data[cs, None]
+
+    if training:
+        # serial: the statistics are, and splitting the rest measured slower
+        normalize(range(c))
+    else:
+        # groups of at least a GELU chunk: a smaller one costs more to hand
+        # to a worker than it saves
+        _parallel(normalize, range(0, c, -(-_GELU_CHUNK // m)))
 
     def bwd(g):
         g3 = g.reshape(n, c, h * w)

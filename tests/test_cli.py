@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from muvit import tensor as T
 from muvit.cli import run_cli
 from muvit.data import config_doc_dumps
 
@@ -114,6 +115,9 @@ class TestBenchCommand:
         assert run_cli(["bench", "--ckpt", ckpt, "--iters", "3"]) == 0
         out = capsys.readouterr().out
         assert "p95" in out and "not comparable" in out
+        workers, source = T.workers()
+        blas = f"BLAS threads from {source}" if source else "no BLAS thread variable set"
+        assert f"workers {workers} ({blas})" in out
 
 
 class TestUsageErrors:

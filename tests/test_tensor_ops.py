@@ -1,16 +1,22 @@
 """Forward-value tests for the tensor ops, against hand-derived and
 brute-force oracles."""
 
+import hashlib
 import math
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
 from muvit import tensor as T
+from muvit.model import ModelConfig, build_model
 from muvit.nn import Conv2d
 from muvit.tensor import ConfigError, Tensor
+from muvit.training import seg_loss
 
 from conftest import conv2d_reference
 
@@ -586,3 +592,197 @@ class TestDeterminism:
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+
+@contextmanager
+def forced_workers(k):
+    """Run the block with k workers on a pool of its own, shut down after."""
+    saved = T._WORKERS, T._POOL
+    T._WORKERS, T._POOL = k, None
+    try:
+        yield
+    finally:
+        if T._POOL is not None:
+            T._POOL.shutdown()
+        T._WORKERS, T._POOL = saved
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def at_each_workers(run, counts=(1, 2, 3)):
+    """run() under each worker count, checking that every count above one
+    handed work to the pool."""
+    results = []
+    for k in counts:
+        with forced_workers(k):
+            results.append(run())
+            assert (T._POOL is not None) == (k > 1)
+    return results
+
+
+class _CallerError(Exception):
+    pass
+
+
+class _WorkerError(Exception):
+    pass
+
+
+class TestWorkers:
+    def test_base64_step_and_eval_bitwise_at_any_workers(self):
+        # loss, every parameter gradient and the BatchNorm buffers of a
+        # Base@64, batch-8 step, then the eval logits at 64 and 256
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((8, 3, 64, 64)).astype(np.float32))
+        y = Tensor((rng.random((8, 1, 64, 64)) > 0.5).astype(np.float32))
+        x256 = Tensor(rng.standard_normal((1, 3, 256, 256)).astype(np.float32))
+
+        def run():
+            model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+            model.train()
+            with T.record():
+                loss = seg_loss(model(x), y).total
+                T.backward(loss)
+            step = sha(loss.data, *(p.grad for _, p in model.named_parameters()),
+                       *(a for _, a in model.named_buffers()))
+            model.eval()
+            with T.no_grad():
+                eval64 = sha(model(x).data)
+            big = build_model(ModelConfig.for_variant("base", input_size=256), seed=0)
+            big.eval()
+            with T.no_grad():
+                eval256 = sha(big(x256).data)
+            return step, eval64, eval256
+
+        first, *rest = at_each_workers(run)
+        assert all(r == first for r in rest)
+
+    @pytest.mark.parametrize("n,c,h,blocks", [(2, 8, 12, 1), (1, 32, 64, 2), (2, 32, 64, 3)])
+    def test_dense_conv_bitwise_at_any_workers(self, n, c, h, blocks):
+        # one column block, fewer blocks than workers, an odd block count;
+        # d(w) splits its taps when the GEMMs are large enough
+        rng = np.random.default_rng(h + c)
+        xd = rng.standard_normal((n, c, h, h)).astype(np.float32)
+        wd = (rng.standard_normal((c, c, 3, 3)) * 0.2).astype(np.float32)
+        g = Tensor(rng.standard_normal((n, c, h, h)).astype(np.float32))
+        got = T._dense_blocks(wd, h + 2, n * (h + 2) ** 2)
+        assert len(got) == blocks
+        assert (c * c * got[0][1] >= T._SPLIT_MACS) == (blocks > 1)
+
+        def run():
+            x = Tensor(xd, requires_grad=True)
+            w = Tensor(wd, requires_grad=True)
+            with T.record():
+                out = T.conv2d(x, w, pad=1)
+                T.backward(T.tsum(T.mul(out, g)))
+            return sha(out.data), sha(x.grad), sha(w.grad)
+
+        first, *rest = at_each_workers(run, (1, 2, 3) if blocks > 1 else (1,))
+        assert all(r == first for r in rest)
+        with forced_workers(3):
+            assert run() == first
+
+    @pytest.mark.parametrize("size", [T._GELU_CHUNK - 1, T._GELU_CHUNK + 1,
+                                      2 * T._GELU_CHUNK + 7])
+    def test_gelu_bitwise_at_any_workers(self, size):
+        xd = (np.random.default_rng(size).standard_normal(size) * 4.0).astype(np.float32)
+
+        def run():
+            x = Tensor(xd, requires_grad=True)
+            with T.record():
+                out = T.gelu(x)
+                T.backward(T.tsum(out))
+            with T.no_grad():
+                plain = T.gelu(Tensor(xd))
+            return sha(out.data), sha(x.grad), sha(plain.data)
+
+        counts = (1, 2, 3) if size > T._GELU_CHUNK else (1,)
+        first, *rest = at_each_workers(run, counts)
+        assert all(r == first for r in rest)
+        with forced_workers(3):
+            assert run() == first
+
+    @pytest.mark.parametrize("shape,groups", [((1, 1, 256, 256), 1), ((2, 3, 160, 160), 2),
+                                              ((1, 3, 256, 256), 3)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_bitwise_at_any_workers(self, shape, groups, training):
+        # eval mode splits into channel groups of at least a GELU chunk
+        rng = np.random.default_rng(shape[1])
+        c = shape[1]
+        xd = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
+        gd = (1.0 + 0.2 * rng.standard_normal(c)).astype(np.float32)
+        bd = (0.3 * rng.standard_normal(c)).astype(np.float32)
+        running = ((0.1 * rng.standard_normal(c)).astype(np.float32),
+                   (1.0 + rng.random(c)).astype(np.float32))
+        r = Tensor(rng.standard_normal(shape).astype(np.float32))
+        m = shape[0] * shape[2] * shape[3]
+        assert len(range(0, c, -(-T._GELU_CHUNK // m))) == groups
+
+        def run():
+            x, gamma, beta = (Tensor(a, requires_grad=True) for a in (xd, gd, bd))
+            buffers = tuple(a.copy() for a in running)
+            with T.record():
+                out = T.batchnorm2d(x, gamma, beta, buffers, training=training)
+                T.backward(T.tsum(T.mul(out, r)))
+            return sha(out.data, x.grad, gamma.grad, beta.grad, *buffers)
+
+        counts = (1, 2, 3) if groups > 1 and not training else (1,)
+        first, *rest = at_each_workers(run, counts)
+        assert all(r == first for r in rest)
+        with forced_workers(3):
+            assert run() == first
+
+    @pytest.mark.parametrize("fails,error", [(0, _CallerError), (2, _WorkerError)])
+    def test_workers_error_propagates_after_every_group_finished(self, fails, error):
+        # groups [0] on the caller, [1] and [2] on the pool
+        done = []
+
+        def fn(group):
+            if group[0] == fails:
+                raise error(group[0])
+            time.sleep(0.05)
+            done.append(group[0])
+
+        with forced_workers(3):
+            with pytest.raises(error):
+                T._parallel(fn, range(3))
+            assert sorted(done) == sorted({0, 1, 2} - {fails})
+            # the pool still runs the next call
+            idents = {}
+            T._parallel(lambda group: idents.update({group[0]: threading.get_ident()}),
+                        range(3))
+            caller = threading.get_ident()
+            assert idents[0] == caller and caller not in (idents[1], idents[2])
+
+    def test_workers_thread_count_stays_flat_over_op_calls(self):
+        before = threading.active_count()
+        x = Tensor(np.ones(T._GELU_CHUNK * 2 + 1, np.float32))
+        with forced_workers(3):
+            for _ in range(200):
+                T.gelu(x)
+            assert threading.active_count() <= before + 2
+
+    @pytest.mark.parametrize("cores,environ,expected", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_workers_rule(self, cores, environ, expected):
+        workers, source = T._worker_rule(cores, environ)
+        assert workers == expected
+        first = next((v for v in T._BLAS_ENV if v in environ), None)
+        assert source == (None if first is None else f"{first}={environ[first]}")
