@@ -344,7 +344,15 @@ def _worker_rule(cores, environ):
     return (max(1, cores // blas) if blas >= 1 else 1), source
 
 
-_WORKERS, _WORKERS_FROM = _worker_rule(len(os.sched_getaffinity(0)), os.environ)
+def _cores():
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_WORKERS, _WORKERS_FROM = _worker_rule(_cores(), os.environ)
 _POOL = None
 
 
@@ -1140,25 +1148,25 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
             rm += momentum * mu
             rv *= 1.0 - momentum
             rv += momentum * var
+        # serial: the statistics are, and splitting the rest measured slower
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat *= invstd[:, None]
+        np.multiply(xhat, gamma.data[:, None], out=o)
+        o += beta.data[:, None]
     else:
         mu, var = running
+        invstd = 1.0 / np.sqrt(var + eps)
         xhat = np.empty(r.shape, np.result_type(r, mu))
-    invstd = 1.0 / np.sqrt(var + eps)
 
-    def normalize(groups):
-        # a range of channel-group starts; its stop ends the last group
-        cs = slice(groups.start, groups.stop)
-        xh = xhat[:, cs]
-        if not training:
+        def normalize(starts):
+            # a range of channel-group starts; its stop ends the last group
+            cs = slice(starts.start, starts.stop)
+            xh = xhat[:, cs]
             np.subtract(r[:, cs], mu[cs, None], out=xh)
-        xh *= invstd[cs, None]
-        np.multiply(xh, gamma.data[cs, None], out=o[:, cs])
-        o[:, cs] += beta.data[cs, None]
+            xh *= invstd[cs, None]
+            np.multiply(xh, gamma.data[cs, None], out=o[:, cs])
+            o[:, cs] += beta.data[cs, None]
 
-    if training:
-        # serial: the statistics are, and splitting the rest measured slower
-        normalize(range(c))
-    else:
         # groups of at least a GELU chunk: a smaller one costs more to hand
         # to a worker than it saves
         _parallel(normalize, range(0, c, -(-_GELU_CHUNK // m)))

@@ -3,6 +3,9 @@ brute-force oracles."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -786,3 +789,20 @@ class TestWorkers:
         assert workers == expected
         first = next((v for v in T._BLAS_ENV if v in environ), None)
         assert source == (None if first is None else f"{first}={environ[first]}")
+
+    def test_workers_without_cpu_affinity(self, monkeypatch):
+        # platforms without os.sched_getaffinity (macOS, Windows) count the
+        # machine's CPUs, and muvit still imports there
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert T._worker_rule(T._cores(), {"OPENBLAS_NUM_THREADS": "1"}) == (
+            3, "OPENBLAS_NUM_THREADS=1")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert T._cores() == 1
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        code = ("import os; vars(os).pop('sched_getaffinity', None); os.cpu_count = lambda: 3\n"
+                "import muvit.tensor as T; print(*T.workers())")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["3", "OPENBLAS_NUM_THREADS=1"]
