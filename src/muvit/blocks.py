@@ -221,4 +221,7 @@ class DecoderBlock(Module):
                 raise ConfigError(
                     f"skip spatial dims {skip.shape[2:]} != upsampled {x.shape[2:]}")
             x = T.concat([x, skip], axis=1)
-        return T.relu(self.bn(self.conv(x)))
+        # rebound at each step, so each full-size map is freed once the next exists
+        x = self.conv(x)
+        x = self.bn(x)
+        return T.relu(x)

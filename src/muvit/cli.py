@@ -149,6 +149,16 @@ def cmd_count(args):
     return 0
 
 
+def _latency_tail(times):
+    """(label, value) of the tail of sorted run times: the p95 when at least
+    ten runs lie above it, else the slowest run as max, since a p95 of fewer
+    runs is just their maximum."""
+    k = int(len(times) * 0.95)
+    if len(times) - 1 - k >= 10:
+        return "p95", times[k]
+    return "max", times[-1]
+
+
 def cmd_bench(args):
     _, model, _ = _load_model(args.ckpt)
     model.eval()
@@ -164,9 +174,9 @@ def cmd_bench(args):
     times.sort()
     mean = sum(times) / len(times)
     p50 = times[len(times) // 2]
-    p95 = times[min(len(times) - 1, int(len(times) * 0.95))]
+    name, tail = _latency_tail(times)
     print(f"forward latency over {args.iters} iters (batch {args.batch}, {size}x{size}):")
-    print(f"  mean {mean * 1e3:.1f} ms   p50 {p50 * 1e3:.1f} ms   p95 {p95 * 1e3:.1f} ms")
+    print(f"  mean {mean * 1e3:.1f} ms   p50 {p50 * 1e3:.1f} ms   {name} {tail * 1e3:.1f} ms")
     workers, source = T.workers()
     blas = f"BLAS threads from {source}" if source else "no BLAS thread variable set"
     print(f"  workers {workers} ({blas})")

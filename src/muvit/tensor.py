@@ -14,28 +14,31 @@ and the inputs: the Tensor itself for a leaf (a parameter, a batch input, a
 tensor from an earlier graph), a _Ref stand-in (key, shape, requires_grad)
 for an input produced on the same graph. Each closure captures only what its
 gradient rule reads: the input arrays of mul, div, matmul, linear, log,
-max-pool, conv_transpose2d and the pointwise and depthwise convs; the padded
-buffer of the dense conv; xhat of the two norms; the masks of relu and clip;
-the outputs of sigmoid, softmax and max-pool; dGELU/dx; and no more than
-shapes and dtypes for add, sub, reshape, the sums and means and avg-pool. So
+max-pool, conv_transpose2d and the pointwise, depthwise and dense convs;
+xhat of the two norms; the masks of relu and clip; the outputs of sigmoid,
+softmax and max-pool; dGELU/dx; and no more than shapes and dtypes for add,
+sub, reshape, the sums and means and avg-pool. So
 an activation that no closure reads, such as the GELU output that BatchNorm
 normalizes, is freed as soon as the forward drops it.
 
 Dense convs (groups=1, not pointwise; depthwise is the only other
-grouping) run on a flat padded buffer: the input is zero-padded once into a
-channel-major [Ci, N*Hp*Wp] array, and each kernel tap (i, j) is one GEMM
-against that buffer shifted by i*Wp + j, accumulated into the output;
-windows that wrap into the next row or image land only in the margin that
-is cropped away.
-The columns are cut into equal blocks of at most 2^17 / max(Co, Ci), so
-that a block of the input, the output and the per-tap product stay in L2
+grouping) compute on a virtual flat padded grid: the input zero-padded into
+a channel-major [Ci, N*Hp*Wp] array, where each kernel tap (i, j) is one GEMM
+against the grid shifted by i*Wp + j, accumulated into the output; windows
+that wrap into the next row or image land only in the margin that is never
+read. The columns are cut into equal blocks of at most 2^17 / max(Co, Ci),
+so that a block of the input, the output and the per-tap product stay in L2
 cache across the taps; each output still sums its taps in row-major order,
-so the f32 result is bitwise that of one whole-span GEMM per tap. The
-backward pass places d(out) once on the same grid, behind (kh-1)*Wp + (kw-1)
-leading zeros: d(w) takes the per-tap GEMMs over the same blocks, and d(x)
-is the same blocked forward run on that buffer with the flipped, transposed
-kernel. The tape keeps the padded buffer, about the size of the input, and
-no im2col copy.
+so the f32 result is bitwise that of one whole-span GEMM per tap. The grid
+is never made: each worker copies its block's window of it, straight from
+the unpadded array, into a block-sized staging buffer, sums the taps in a
+block-sized accumulator and writes the block's valid columns into the
+[N, Co, Ho, Wo] result. The backward pass stages d(out) the same way, dilated
+by the stride and behind (kh-1)*Wp + (kw-1) leading zeros: d(w) takes the
+per-tap GEMMs over the same blocks, with the input window restaged from the
+input array, and d(x) is the same blocked forward run on that grid with the
+flipped, transposed kernel, written into [N, Ci, H, W]. The tape keeps the
+input array, and no padded or im2col copy.
 
 Depthwise convs run as banded GEMMs on width tiles: the input is zero-padded
 once into channel-major tiles [C, Hp, N, nb, b+kw-1], each covering
@@ -257,10 +260,17 @@ def _tally(op, macs):
         _MACS.add(op, int(macs))
 
 
+def _recorded(inputs):
+    """Whether _out will record an op on these inputs: a graph is active
+    and some input needs a gradient."""
+    return _GRAPH is not None and any(isinstance(i, Tensor) and i.requires_grad
+                                      for i in inputs)
+
+
 def _out(op, inputs, data, bwd):
     t = Tensor(data)
     g = _GRAPH
-    if g is not None and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
+    if _recorded(inputs):
         t.requires_grad = True
         t._key = next(_SERIAL)
         keys = g.keys
@@ -679,25 +689,65 @@ def _conv_out_size(size, k, stride, pad):
     return num // stride + 1
 
 
-def _to_grid(a, hp, wp, top, step, lead=0):
-    """[N, C, h, w] -> channel-major flat buffer [C, lead + N*hp*wp] of zeros
-    holding a[n, c] from row and column `top` on, every `step` rows and
-    columns, after `lead` leading zero columns."""
+def _on_grid(lo, hi, top, step, size):
+    """Index range [i, j) of the places top, top + step, ..., top + (size-1)*step
+    that fall in [lo, hi)."""
+    return max(0, -(-(lo - top) // step)), min(size, -(-(hi - top) // step))
+
+
+def _stage(src, hp, wp, lo, hi, buf):
+    """Window [lo, hi) of the flat grid of src = (a, top, step) in buf.
+
+    The flat grid of a [N, C, h, w] is the channel-major [C, N*hp*wp] array of
+    zeros holding a[n, c] from row and column `top` on, every `step` rows and
+    columns, of each hp x wp image; positions before 0 are zero too. The
+    window is filled whole rows at a time, one copy per image it touches, in
+    the front of the flat scratch array buf. Returns the [C, hi - lo] view
+    whose column p - lo holds grid position p.
+    """
+    a, top, step = src
     n, c, h, w = a.shape
-    buf = np.zeros((c, lead + n * hp * wp), dtype=a.dtype)
-    grid = buf[:, lead:].reshape(c, n, hp, wp)
-    grid[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step] = \
-        a.transpose(1, 0, 2, 3)
-    return buf
+    r0, r1 = lo // wp, -(-hi // wp)
+    rows = buf[:c * (r1 - r0) * wp].reshape(c, r1 - r0, wp)
+    rows.fill(0)
+    cols = slice(top, top + (w - 1) * step + 1, step)
+    for img in range(max(r0, 0) // hp, (r1 - 1) // hp + 1):
+        base = img * hp
+        i, j = _on_grid(r0 - base, r1 - base, top, step, h)
+        if i < j:
+            s = base + top + i * step - r0
+            rows[:, s:s + (j - i - 1) * step + 1:step, cols] = a[img, :, i:j]
+    return rows.reshape(c, -1)[:, lo - r0 * wp:hi - r0 * wp]
 
 
-def _from_grid(buf, n, hp, wp, top, step, h, w):
-    """Inverse of _to_grid: read [N, C, h, w] back out of the first N*hp*wp
-    columns of the flat buffer."""
-    grid = buf[:, :n * hp * wp].reshape(buf.shape[0], n, hp, wp)
-    return np.ascontiguousarray(
-        grid[:, :, top:top + (h - 1) * step + 1:step, top:top + (w - 1) * step + 1:step]
-        .transpose(1, 0, 2, 3))
+def _unstage(acc, q, hp, wp, dst):
+    """Inverse of _stage for one column block: acc [C, l] holds flat grid
+    positions [q, q+l); write those on the grid of dst = (out, top, step) into
+    out [N, C, h, w]. A partial row goes one row at a time, whole rows one
+    copy per image."""
+    out, top, step = dst
+    n, c, h, w = out.shape
+    cols = slice(top, top + (w - 1) * step + 1, step)
+    p, end = q, q + acc.shape[1]
+    while p < end:
+        row, col = divmod(p, wp)
+        img, r = divmod(row, hp)
+        if col or end - p < wp:
+            stop = min(wp, col + end - p)
+            i, j = _on_grid(r, r + 1, top, step, h)
+            u, v = _on_grid(col, stop, top, step, w)
+            if i < j and u < v:
+                s = p - q + top + u * step - col
+                out[img, :, i, u:v] = acc[:, s:s + (v - u - 1) * step + 1:step]
+            p += stop - col
+        else:
+            k = min(hp - r, (end - p) // wp)
+            i, j = _on_grid(r, r + k, top, step, h)
+            if i < j:
+                s = top + i * step - r
+                rows = acc[:, p - q:p - q + k * wp].reshape(c, k, wp)
+                out[img, :, i:j] = rows[:, s:s + (j - i - 1) * step + 1:step, cols]
+            p += k * wp
 
 
 # Column blocks of the flat grid hold at most _BLOCK elements per channel
@@ -722,56 +772,78 @@ def _dense_blocks(w, wp, m):
     return [(q, min(width, span - q)) for q in range(0, span, width)]
 
 
-def _dense_fwd(xf, w, wp):
-    """Stride-1 correlation on the flat padded buffer, one GEMM per tap and
-    column block, the blocks split over the workers.
+def _stage_size(c, length, wp):
+    """Elements of a _stage buffer for windows of up to `length` positions of
+    C channels: the whole rows such a window can touch."""
+    return c * -(-(length + wp - 1) // wp) * wp
 
-    out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span; the
-    positions whose window wraps into the next row or image lie in the margin
-    that the caller crops away. Every output column sums its taps in
-    row-major order whatever the blocking, so the result is bitwise that of
-    one whole-span GEMM per tap.
+
+def _dense_fwd(w, hp, wp, src, dst, lead=0):
+    """Stride-1 correlation on the flat grid of src, one GEMM per tap and
+    column block, the blocks split over the workers; see _stage for the grid.
+
+    With xf the grid of src behind `lead` zero columns,
+    out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span,
+    and the positions of out on the grid of dst = (out, top, step) are
+    written into it; those whose window wraps into the next row or image
+    are never read. Each worker stages its block's window of xf and sums the
+    block's taps in a block-sized accumulator, so no grid-sized array is
+    made. Every output column sums its taps in row-major order whatever the
+    blocking, so the result is bitwise that of one whole-span GEMM per tap.
     """
     co, ci, kh, kw = w.shape
-    blocks = _dense_blocks(w, wp, xf.shape[1])
+    a = src[0]
+    ext = (kh - 1) * wp + (kw - 1)
+    blocks = _dense_blocks(w, wp, lead + a.shape[0] * hp * wp)
+    width = blocks[0][1]
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    out = np.zeros((co, xf.shape[1]), dtype=xf.dtype)
 
     def run(group):
-        tmp = np.empty((co, blocks[0][1]), dtype=xf.dtype)
+        buf = np.empty(_stage_size(ci, width + ext, wp), dtype=a.dtype)
+        acc = np.empty((co, width), dtype=a.dtype)
+        tmp = np.empty((co, width), dtype=a.dtype)
         for q, l in group:
-            acc, t = out[:, q:q + l], tmp[:, :l]
+            xs = _stage(src, hp, wp, q - lead, q - lead + l + ext, buf)
+            ac, t = acc[:, :l], tmp[:, :l]
+            ac.fill(0)
             for i in range(kh):
                 for j in range(kw):
-                    off = q + i * wp + j
-                    np.matmul(wt[i, j], xf[:, off:off + l], out=t)
-                    acc += t
+                    off = i * wp + j
+                    np.matmul(wt[i, j], xs[:, off:off + l], out=t)
+                    ac += t
+            _unstage(ac, q, hp, wp, dst)
 
     _parallel(run, blocks)
-    return out
 
 
-def _dense_wgrad(gs, xf, w, wp):
-    """d(w) of _dense_fwd, with gs = d(out) on the same flat grid, zero in
-    the margin: per column block and tap, gs[:, q:q+l] @ xf[:, q+off:q+off+l].T
-    accumulated over the blocks of _dense_fwd in order. The taps are split
-    over the workers when each GEMM does at least _SPLIT_MACS MACs, so each
-    tap's sum runs as it does serially."""
+def _dense_wgrad(w, hp, wp, gsrc, xsrc):
+    """d(w) of _dense_fwd from d(out) on the grid of gsrc and the input on
+    the grid of xsrc: per column block and tap, gs[:, q:q+l] @
+    xf[:, q+off:q+off+l].T accumulated over the blocks of _dense_fwd in order,
+    both operands staged per block. The taps are split over the workers when
+    each GEMM does at least _SPLIT_MACS MACs, so each tap's sum runs as it
+    does serially."""
     co, ci, kh, kw = w.shape
-    gw = np.zeros((kh, kw, co, ci), dtype=xf.dtype)
-    blocks = _dense_blocks(w, wp, xf.shape[1])
+    x = xsrc[0]
+    ext = (kh - 1) * wp + (kw - 1)
+    gw = np.zeros((kh, kw, co, ci), dtype=x.dtype)
+    blocks = _dense_blocks(w, wp, x.shape[0] * hp * wp)
+    width = blocks[0][1]
 
     def run(taps):
-        tmp = np.empty((co, ci), dtype=xf.dtype)
+        gbuf = np.empty(_stage_size(co, width, wp), dtype=gsrc[0].dtype)
+        xbuf = np.empty(_stage_size(ci, width + ext, wp), dtype=x.dtype)
+        tmp = np.empty((co, ci), dtype=x.dtype)
         for q, l in blocks:
-            go = gs[:, q:q + l]
+            go = _stage(gsrc, hp, wp, q, q + l, gbuf)
+            xs = _stage(xsrc, hp, wp, q, q + l + ext, xbuf)
             for i, j in taps:
-                off = q + i * wp + j
-                np.matmul(go, xf[:, off:off + l].T, out=tmp)
+                off = i * wp + j
+                np.matmul(go, xs[:, off:off + l].T, out=tmp)
                 gw[i, j] += tmp
 
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    if co * ci * blocks[0][1] < _SPLIT_MACS:
+    if co * ci * width < _SPLIT_MACS:
         run(taps)
     else:
         _parallel(run, taps)
@@ -879,20 +951,20 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     x: [N, Ci, H, W]; w: [Co, Ci, kh, kw], or [Ci, 1, kh, kw] for a depthwise
     conv; any other grouping raises ConfigError. Unstrided, unpadded 1x1
-    kernels give a pointwise conv. Every other dense conv takes the dense path:
-    x is padded once into the flat buffer xf = [Ci, N*Hp*Wp], and each tap
+    kernels give a pointwise conv. Every other dense conv takes the dense path
+    on the virtual flat grid xf = [Ci, N*Hp*Wp] of the zero-padded x: each tap
     (i, j) adds w[:, :, i, j] @ xf[:, off:off + L] to the output, with
     off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1), one column block
-    [q, q+l) at a time (_dense_fwd); the result is cropped to [:Ho, :Wo]
-    (stride s keeps every s-th position of the stride-1 result). The
-    backward pass keeps xf
-    and places d(out), dilated by the stride, on the same grid behind
-    (kh-1)*Wp + (kw-1) zero columns. d(w) sums d(out)[:, q:q+l] @
-    xf[:, q+off:q+off+l].T over taps and blocks (_dense_wgrad). d(x) is
-    _dense_fwd of that buffer with w flipped in both kernel axes and
-    transposed to [Ci, Co], cropped like the input; the lead
-    makes it a full correlation, and shifts that run into the previous row
-    or image read only the zero margin.
+    [q, q+l) at a time, each worker staging the block's window of xf from x
+    (_stage, _dense_fwd) and writing the positions [:Ho, :Wo] of the block
+    into the result (_unstage; stride s keeps every s-th position of the
+    stride-1 result). The backward pass keeps x and stages d(out), dilated
+    by the stride, on the same grid behind (kh-1)*Wp + (kw-1) zero columns.
+    d(w) sums d(out)[:, q:q+l] @ xf[:, q+off:q+off+l].T over taps and blocks
+    (_dense_wgrad). d(x) is _dense_fwd of that grid with w flipped in both
+    kernel axes and transposed to [Ci, Co], written at the input's place on
+    the grid; the lead makes it a full correlation, and shifts that run into
+    the previous row or image read only the zero margin.
 
     Depthwise convs take the tiled path (_dw_fwd/_dw_bwd): x is padded once
     into width tiles [Ci, Hp, N, nb, b+kw-1] with b = min(16, Wo1) for the
@@ -920,9 +992,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     pointwise = kh == 1 and kw == 1 and stride == 1 and pad == 0 and groups == 1
     depthwise = groups == ci and co == ci and cig == 1
     need_x, wd = x.requires_grad, w.data
-    # each branch's closure captures only what its backward reads: the
-    # pointwise and depthwise ones the input array, the dense one the padded
-    # buffer xf alone
+    # each branch's closure captures only what its backward reads: the input
+    # array
     if pointwise:
         x3 = x.data.reshape(n, ci, h * wdt)
         w2 = wd.reshape(co, ci)
@@ -942,19 +1013,19 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             return gx, gw
     else:
         hp, wp = h + 2 * pad, wdt + 2 * pad
-        xf = _to_grid(x.data, hp, wp, pad, 1)
-        out = _from_grid(_dense_fwd(xf, wd, wp), n, hp, wp, 0, stride, ho, wo)
+        xsrc = (x.data, pad, 1)
+        out = np.empty((n, co, ho, wo), dtype=x.data.dtype)
+        _dense_fwd(wd, hp, wp, xsrc, (out, 0, stride))
 
         def grads(g):
-            lead = (kh - 1) * wp + (kw - 1)
-            gs = _to_grid(g, hp, wp, 0, stride, lead)
-            gw = _dense_wgrad(gs[:, lead:], xf, wd, wp)
+            gsrc = (g, 0, stride)
+            gw = _dense_wgrad(wd, hp, wp, gsrc, xsrc)
             if not need_x:
                 return None, gw
-            gxf = _dense_fwd(gs, wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], wp)
-            # freed before the crop, which would otherwise hold a third grid
-            del gs
-            return _from_grid(gxf, n, hp, wp, pad, 1, h, wdt), gw
+            gx = np.empty((n, ci, h, wdt), dtype=g.dtype)
+            _dense_fwd(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], hp, wp, gsrc, (gx, pad, 1),
+                       lead=(kh - 1) * wp + (kw - 1))
+            return gx, gw
     if b is not None:
         out = out + b.data[:, None, None]
     _tally("conv2d", n * ho * wo * co * cig * kh * kw)
@@ -1123,8 +1194,10 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     r.sum(axis=2).sum(axis=0) / m and the same on the centred squares, which
     is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
     once into xhat, scales it in place and writes the affine into the output
-    with out=, in eval mode split over the workers by channel groups; the
-    backward takes d(gamma) and d(beta) from the same contiguous reductions.
+    with out=, in eval mode split over the workers by channel groups; an
+    unrecorded eval call runs the same ops in the output itself, with no
+    xhat. The backward takes d(gamma) and d(beta) from the same contiguous
+    reductions.
     """
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -1156,7 +1229,9 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
     else:
         mu, var = running
         invstd = 1.0 / np.sqrt(var + eps)
-        xhat = np.empty(r.shape, np.result_type(r, mu))
+        # unrecorded, no backward reads xhat, so it is normalized in the output
+        xdt = np.result_type(r, mu)
+        xhat = o if xdt == dtype and not _recorded((x, gamma, beta)) else np.empty(r.shape, xdt)
 
         def normalize(starts):
             # a range of channel-group starts; its stop ends the last group

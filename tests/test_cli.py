@@ -7,7 +7,7 @@ import os
 import pytest
 
 from muvit import tensor as T
-from muvit.cli import run_cli
+from muvit.cli import _latency_tail, run_cli
 from muvit.data import config_doc_dumps
 
 
@@ -114,10 +114,18 @@ class TestBenchCommand:
         capsys.readouterr()
         assert run_cli(["bench", "--ckpt", ckpt, "--iters", "3"]) == 0
         out = capsys.readouterr().out
-        assert "p95" in out and "not comparable" in out
+        # three runs have no p95 of their own: the slowest is printed as max
+        assert " max " in out and "p95" not in out and "not comparable" in out
         workers, source = T.workers()
         blas = f"BLAS threads from {source}" if source else "no BLAS thread variable set"
         assert f"workers {workers} ({blas})" in out
+
+    @pytest.mark.parametrize("n,label,value", [
+        (1, "max", 0), (10, "max", 9), (200, "max", 199),  # at most 9 runs above index 0.95n
+        (201, "p95", 190), (1000, "p95", 950),
+    ])
+    def test_bench_tail_is_p95_only_with_ten_runs_above_it(self, n, label, value):
+        assert _latency_tail(list(range(n))) == (label, value)
 
 
 class TestUsageErrors:

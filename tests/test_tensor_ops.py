@@ -164,6 +164,51 @@ def dense_reference(x, w, g, stride, pad):
     return out, gxp[:, :, pad:pad + h, pad:pad + wd], gw
 
 
+def dense_full_grid(x, w, g, stride, pad):
+    """(out, d(x), d(w)) of a dense conv for d(out) = g, computed as conv2d
+    did on full-size flat padded grids before its blocks were staged: the
+    input and the lead-padded, dilated d(out) zero-padded once into
+    [C, N*Hp*Wp] arrays, one GEMM per tap and column block of _dense_blocks,
+    summed into a grid-sized output that is then cropped. Staging the blocks
+    must keep all three bit for bit."""
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    lead = (kh - 1) * wp + (kw - 1)
+
+    def grid(a, top, step, lead=0):
+        buf = np.zeros((a.shape[1], lead + n * hp * wp), a.dtype)
+        rows = slice(top, top + (a.shape[2] - 1) * step + 1, step)
+        cols = slice(top, top + (a.shape[3] - 1) * step + 1, step)
+        buf[:, lead:].reshape(-1, n, hp, wp)[:, :, rows, cols] = a.transpose(1, 0, 2, 3)
+        return buf
+
+    def crop(buf, top, step, hh, ww):
+        grid = buf[:, :n * hp * wp].reshape(-1, n, hp, wp)
+        rows = slice(top, top + (hh - 1) * step + 1, step)
+        cols = slice(top, top + (ww - 1) * step + 1, step)
+        return grid[:, :, rows, cols].transpose(1, 0, 2, 3)
+
+    def fwd(xf, k):
+        wt = np.ascontiguousarray(k.transpose(2, 3, 0, 1))
+        out = np.zeros((k.shape[0], xf.shape[1]), xf.dtype)
+        for q, l in T._dense_blocks(k, wp, xf.shape[1]):
+            for i in range(kh):
+                for j in range(kw):
+                    out[:, q:q + l] += wt[i, j] @ xf[:, q + i * wp + j:q + i * wp + j + l]
+        return out
+
+    xf, gs = grid(x, pad, 1), grid(g, 0, stride, lead)
+    gw = np.zeros((kh, kw, co, ci), x.dtype)
+    for q, l in T._dense_blocks(w, wp, xf.shape[1]):
+        for i in range(kh):
+            for j in range(kw):
+                gw[i, j] += gs[:, lead + q:lead + q + l] @ xf[:, q + i * wp + j:q + i * wp + j + l].T
+    out = crop(fwd(xf, w), 0, stride, g.shape[2], g.shape[3])
+    gx = crop(fwd(gs, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]), pad, 1, h, wd)
+    return out, gx, gw.transpose(2, 3, 0, 1)
+
+
 # (n, ci, co, h, w, k, stride, pad); each spans at least 2 column blocks
 DENSE_MULTIBLOCK_CASES = [
     (2, 64, 8, 40, 40, 3, 1, 1),
@@ -228,6 +273,80 @@ class TestDenseConv:
             tracemalloc.stop()
         assert gx.shape == x.shape and gw.shape == w.shape
         assert peak - base <= 2.5 * grid
+
+
+    # (n, ci, co, h, w, kh, kw, stride, pad, block width): the block width,
+    # when given, shrinks _BLOCK so that column blocks fall everywhere on the
+    # grid; the first four shapes lie on both sides of the small-GEMM regime
+    @pytest.mark.parametrize("n,ci,co,h,w,kh,kw,stride,pad,block", [
+        (8, 32, 32, 4, 4, 3, 3, 1, 1, None),      # one block over eight images
+        (8, 80, 80, 8, 8, 3, 3, 1, 1, None),
+        (8, 32, 32, 64, 64, 3, 3, 1, 1, None),    # dec5, train64
+        (1, 3, 16, 64, 64, 3, 3, 1, 1, None),     # stem
+        (2, 8, 16, 33, 33, 3, 3, 2, 1, None),
+        (2, 8, 8, 17, 17, 3, 3, 2, 1, 37),
+        (2, 16, 8, 20, 20, 3, 3, 1, 0, 29),
+        (2, 16, 8, 24, 24, 5, 5, 1, 2, 53),
+        (2, 8, 8, 12, 12, 1, 3, 1, 1, 23),
+    ])
+    def test_dense_staged_bitwise_equal_to_full_grid(
+            self, monkeypatch, n, ci, co, h, w, kh, kw, stride, pad, block):
+        hp, wp = h + 2 * pad, w + 2 * pad
+        if block:
+            monkeypatch.setattr(T, "_BLOCK", block * max(co, ci))
+            starts = [q for q, _ in T._dense_blocks(np.empty((co, ci, kh, kw)), wp, n * hp * wp)]
+            assert any(q % wp for q in starts)                       # mid-row
+            assert pad == 0 or any((q // wp) % hp >= pad + h for q in starts)  # bottom margin
+        rng = np.random.default_rng(ci * h + kw)
+        xd = rng.standard_normal((n, ci, h, w)).astype(np.float32)
+        wd = (rng.standard_normal((co, ci, kh, kw)) * 0.2).astype(np.float32)
+        g = rng.standard_normal((n, co, (hp - kh) // stride + 1,
+                                 (wp - kw) // stride + 1)).astype(np.float32)
+        expected = [a.tobytes() for a in dense_full_grid(xd, wd, g, stride, pad)]
+        for k in (1, 2, 3):
+            with forced_workers(k):
+                x, wt = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+                with T.record() as graph:
+                    out = T.conv2d(x, wt, stride=stride, pad=pad)
+                gx, gw = graph.nodes[-1].bwd(g)
+            assert [a.tobytes() for a in (out.data, gx, gw)] == expected, f"{k} workers"
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dense_forward_transient_memory_is_blocks_not_grids(self, k):
+        # each worker stages a block's window of the padded input and sums
+        # its taps in a block-sized accumulator: the call holds its output
+        # plus a few blocks per worker, where a padded grid is 8.5 MB
+        x = Tensor(np.ones((1, 32, 256, 256), np.float32))
+        w = Tensor(np.ones((32, 32, 3, 3), np.float32))
+        block = T._BLOCK * 4
+        with forced_workers(k):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = T.conv2d(x, w, pad=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - base - out.data.nbytes <= 4 * block * k < 32 * 258 * 258 * 4
+
+    def test_dense_base256_eval_peak_memory(self):
+        # the largest maps are 32 channels at 256x256 (4.2 MB each): the
+        # upsampled input of dec5, its conv output and BatchNorm output
+        # live one after another, next to the skips still held; full-size
+        # padded grids in the dense conv made this peak 37.8 MB
+        model = build_model(ModelConfig.for_variant("base", input_size=256), seed=0)
+        model.eval()
+        x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 256, 256)).astype(np.float32))
+        with forced_workers(2), T.no_grad():
+            model(x)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                model(x)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 26e6, f"eval peak {peak / 1e6:.2f} MB"
 
 
 class TestConvTranspose2d:
@@ -422,6 +541,25 @@ class TestNorms:
         assert out.data.tobytes() == ref.tobytes()
         assert running[0].tobytes() == ref_running[0].tobytes()
         assert running[1].tobytes() == ref_running[1].tobytes()
+        if not training:
+            # recorded, eval mode keeps xhat for the backward pass; the values match
+            with T.record():
+                rec = T.batchnorm2d(Tensor(d, requires_grad=True), Tensor(gamma),
+                                    Tensor(beta), running, training=False)
+            assert rec.data.tobytes() == ref.tobytes()
+
+    def test_bn_eval_unrecorded_allocates_only_its_output(self):
+        x = Tensor(np.ones((1, 32, 128, 128), np.float32))
+        gamma, beta = Tensor(np.ones(32, np.float32)), Tensor(np.zeros(32, np.float32))
+        running = (np.zeros(32, np.float32), np.ones(32, np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.batchnorm2d(x, gamma, beta, running, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - out.data.nbytes < 64 * 1024
 
     def test_ln_constant_token_zeros(self):
         x = t(np.full((2, 5, 8), 3.3))

@@ -438,18 +438,22 @@ class TestTapeHoldsWhatBackwardReads:
         assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
         assert blk.dw.weight.grad is not None and blk.bn1.gamma.grad is not None
 
-    def test_dense_conv_input_freed_once_the_conv_consumed_it(self, rng):
-        # the dense conv's backward reads only its padded copy of the input
+    def test_dense_conv_tape_keeps_input_not_a_copy(self, rng):
+        # the dense conv's backward restages its input windows from the input
+        # array itself: the tape pins that array, not the Tensor around it,
+        # and no padded copy
         ad = SkipAdapter(8, 8, pool=False)
         ad.train()
         x = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32), requires_grad=True)
-        with record():
+        with record() as graph:
             h = ad.bn1(T.relu(ad.conv1(x)))
             refs = [weakref.ref(h), weakref.ref(h.data)]
             out = ad.conv2(h)
             del h
-            assert [r() for r in refs] == [None, None]
+            assert refs[0]() is None and refs[1]() is not None
             backward(T.tsum(T.mul(out, out)))
+        del graph
+        assert refs[1]() is None
         assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
         assert ad.conv2.weight.grad is not None and ad.bn1.gamma.grad is not None
 
