@@ -254,8 +254,8 @@ class TestDenseConv:
         np.testing.assert_allclose(wt.grad, ref_gw, rtol=1e-10, atol=1e-10)
 
     def test_backward_transient_memory(self):
-        # d(out) goes onto the grid once and is freed before d(x) is cropped
-        # out of the result, so the backward stays well under three grids
+        # d(out) and the input are staged a block at a time, so the backward
+        # holds d(x), d(w) and a few blocks per worker, well under 2.5 grids
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 32, 128, 128)), requires_grad=True, dtype="f32")
         w = Tensor(rng.standard_normal((32, 32, 3, 3)), requires_grad=True, dtype="f32")
@@ -273,7 +273,6 @@ class TestDenseConv:
             tracemalloc.stop()
         assert gx.shape == x.shape and gw.shape == w.shape
         assert peak - base <= 2.5 * grid
-
 
     # (n, ci, co, h, w, kh, kw, stride, pad, block width): the block width,
     # when given, shrinks _BLOCK so that column blocks fall everywhere on the
@@ -330,10 +329,10 @@ class TestDenseConv:
         assert peak - base - out.data.nbytes <= 4 * block * k < 32 * 258 * 258 * 4
 
     def test_dense_base256_eval_peak_memory(self):
-        # the largest maps are 32 channels at 256x256 (4.2 MB each): the
-        # upsampled input of dec5, its conv output and BatchNorm output
-        # live one after another, next to the skips still held; full-size
-        # padded grids in the dense conv made this peak 37.8 MB
+        # the largest maps are 32 channels at 256x256 (8.4 MB each): dec5's
+        # conv input, its output and the BatchNorm output, each freed once
+        # the next exists; full-size padded grids in the dense conv made
+        # this peak 37.8 MB
         model = build_model(ModelConfig.for_variant("base", input_size=256), seed=0)
         model.eval()
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 256, 256)).astype(np.float32))
