@@ -6,7 +6,9 @@ its kernel, pooling, bilinear upsampling, batch/layer norm,
 GELU/ReLU/sigmoid/softmax, linear, multi-head attention, plus the
 elementwise/reduction glue used by the loss. Every op that records
 onto the active Graph knows how to push gradients back to its inputs;
-``backward(loss)`` replays the tape in reverse.
+``backward(loss)`` consumes the tape in reverse: it pops each node, runs its
+closure and drops it, so what the forward stored dies during the sweep, as
+soon as no later node needs it. A tape serves one backward call.
 
 The tape holds keys, not activations. _out stamps each recorded output with
 a serial key, and its Node keeps the op name, that key, the backward closure
@@ -14,10 +16,10 @@ and the inputs: the Tensor itself for a leaf (a parameter, a batch input, a
 tensor from an earlier graph), a _Ref stand-in (key, shape, requires_grad)
 for an input produced on the same graph. Each closure captures only what its
 gradient rule reads: the input arrays of mul, div, matmul, linear, log,
-max-pool, conv_transpose2d and the pointwise, depthwise and dense convs;
-xhat of the two norms; the masks of relu and clip; the outputs of sigmoid,
-softmax and max-pool; dGELU/dx; and no more than shapes and dtypes for add,
-sub, reshape, the sums and means and avg-pool. So
+conv_transpose2d and the pointwise, depthwise and dense convs; xhat of the
+two norms; the masks of relu and clip; the outputs of sigmoid and softmax;
+dGELU/dx; the winner offsets of max-pool; and no more than shapes and dtypes
+for add, sub, reshape, the sums and means and avg-pool. So
 an activation that no closure reads, such as the GELU output that BatchNorm
 normalizes, is freed as soon as the forward drops it.
 
@@ -57,8 +59,9 @@ arithmetic, over 64K-element chunks; when recorded, the same pass stores
 dGELU/dx, so the backward pass is one multiply. Only f64 GELU calls scipy's
 erf. BatchNorm takes its statistics from contiguous reductions on the
 [N, C, H*W] view, bitwise equal to mean/var over axes (0, 2, 3). Max-pool is
-a running np.maximum over the k*k strided window views; its backward sends
-d(out) to the first row-major maximum of each window.
+a running np.maximum over the k*k strided window views; when recorded, it
+also keeps one small unsigned offset per window, and its backward sends
+d(out) to that offset, the first row-major maximum of the window.
 
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
@@ -174,7 +177,8 @@ class Node:
     this graph: parameters, batch inputs, tensors from an earlier graph) and
     a _Ref for an input produced on this graph; both expose .shape. The node
     holds no output Tensor, so an activation lives on only if some closure
-    captured its array.
+    captured its array, and only until backward pops the last node whose
+    closure holds it.
     """
 
     __slots__ = ("op", "inputs", "key", "bwd")
@@ -187,12 +191,13 @@ class Node:
 
 
 class Graph:
-    """Op tape in execution order, which is a topological order, and the set
-    of keys of the outputs recorded on it."""
+    """Op tape in execution order, which is a topological order, the set of
+    keys of the outputs recorded on it, and whether backward consumed it."""
 
     def __init__(self):
         self.nodes = []
         self.keys = set()
+        self.consumed = False
 
 
 _SERIAL = itertools.count(1)
@@ -204,12 +209,13 @@ _MACS = None
 def record():
     """Record ops into a fresh Graph and yield it.
 
-    backward() must be called inside the same block: it reads the active
-    graph, and tensors keep no reference to the graph that produced them, so
-    the tape is freed by reference counting once the block exits. While the
-    block runs, the tape pins only leaf Tensors and the arrays that backward
-    closures read (see Node); an intermediate that no closure reads is freed
-    as soon as the forward drops it.
+    backward() must be called inside the same block, once: it reads the
+    active graph and consumes its tape, and a second call raises UsageError.
+    Tensors keep no reference to the graph that produced them, so whatever
+    is left of the tape is freed by reference counting once the block exits.
+    Until backward runs, the tape pins only leaf Tensors and the arrays that
+    backward closures read (see Node); an intermediate that no closure reads
+    is freed as soon as the forward drops it.
     """
     global _GRAPH
     prev = _GRAPH
@@ -284,14 +290,16 @@ def backward(loss):
     """Reverse-mode accumulation into every requires_grad leaf reachable from loss.
 
     Must run inside the record() block that recorded the forward: loss has to
-    be the output of a node on the active graph. Repeated calls accumulate
-    into .grad unless grads are cleared.
+    be the output of a node on the active graph. Calls on successive tapes
+    accumulate into .grad unless grads are cleared.
 
-    The sweep visits the nodes in reverse order. The gradient of a _Ref
-    input flows by its key to the node that produced it, that of a leaf by
-    the Tensor itself; contributions add in the order the sweep meets them,
-    and each node's d(out) is dropped once its closure has run. Closures are
-    only read, so the tape stays intact for a repeated call.
+    The sweep consumes the tape: it pops the nodes in reverse order and drops
+    each one, with the arrays its closure holds, once the closure has run.
+    The gradient of a _Ref input flows by its key to the node that produced
+    it, that of a leaf by the Tensor itself; contributions add in the order
+    the sweep meets them, and each node's d(out) is dropped once its closure
+    has run. A second call on the same tape raises UsageError before it
+    touches any .grad.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise UsageError("backward() needs a scalar loss tensor")
@@ -299,9 +307,15 @@ def backward(loss):
     if g is None or loss._key not in g.keys:
         raise UsageError("loss is not an output of the active graph; "
                          "run the forward and backward() inside one record() block")
+    if g.consumed:
+        raise UsageError("backward() already consumed this tape; record the "
+                         "forward again in a new record() block")
+    g.consumed = True
     flows = {loss._key: np.ones_like(loss.data)}
     leaves = {}
-    for node in reversed(g.nodes):
+    nodes = g.nodes
+    while nodes:
+        node = nodes.pop()
         gout = flows.pop(node.key, None)
         if gout is None:
             continue
@@ -523,8 +537,8 @@ def relu(x):
 
 def sigmoid(x):
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    s = s.astype(d.dtype)
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(d.dtype)
     return _out("sigmoid", (x,), s, lambda g: (g * s * (1.0 - s),))
 
 
@@ -1086,20 +1100,28 @@ def pool2d(x, kind, k):
     """Non-overlapping k x k max/avg pooling (stride k); H, W must divide by k.
 
     Max-pool's forward is a running np.maximum over the k*k strided views
-    x[..., i::k, j::k], with no copy of the windows. Its backward routes the
-    gradient to the first (row-major) maximal element of each window: offsets
-    are visited in row-major order, and each takes the windows where it
-    equals the output and no earlier offset did. The tape keeps only x and
-    the output.
+    x[..., i::k, j::k], with no copy of the windows. A recorded call also
+    keeps, per window, the offset i*k + j of its winner in the smallest
+    unsigned dtype that holds k*k - 1: an offset takes over a window only
+    where it is strictly greater than the running maximum, so a tie, +0.0
+    against -0.0 included, keeps the first row-major maximum. The tape keeps
+    only these offsets, not x or the output, and the backward writes d(out)
+    at each window's offset and +0.0 everywhere else.
+
+    A window that contains NaN outputs NaN, as np.maximum propagates it; its
+    d(out) goes to the first row-major maximum of the elements ahead of the
+    first NaN, or to the NaN itself when it comes first. Such a window makes
+    any loss that reads it NaN, and train_loop raises before backward on a
+    non-finite loss.
     """
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ConfigError(f"pool2d: spatial dims {h}x{w} not divisible by {k}")
     ho, wo = h // k, w // k
     r = x.data.reshape(n, c, ho, k, wo, k)
+    dtype = x.data.dtype
     if kind == "avg":
         out = r.mean(axis=(3, 5))
-        dtype = x.data.dtype
 
         def bwd(g):
             gx = np.broadcast_to(g[:, :, :, None, :, None] / (k * k), (n, c, ho, k, wo, k))
@@ -1108,30 +1130,33 @@ def pool2d(x, kind, k):
         return _out("avgpool", (x,), out, bwd)
     if kind == "max":
         out = r[:, :, :, 0, :, 0].copy()
+        win = np.zeros(out.shape, np.min_scalar_type(k * k - 1)) if _recorded((x,)) else None
         for i in range(k):
             for j in range(k):
                 if i or j:
+                    v = r[:, :, :, i, :, j]
+                    if win is not None:
+                        # offsets rise in visiting order, so the last one
+                        # that beats the running maximum is the largest
+                        np.maximum(win, np.multiply(v > out, i * k + j, dtype=win.dtype), out=win)
                     # np.maximum returns its second operand on ties, which
                     # keeps the first maximum's bits when +0.0 meets -0.0
-                    np.maximum(r[:, :, :, i, :, j], out, out=out)
+                    np.maximum(v, out, out=out)
 
         def bwd(g):
             # g goes through an all-ones or all-zeros bit mask, so every
-            # position but the first maximum gets +0.0 whatever the sign of g
-            bits = np.dtype(f"u{x.data.itemsize}")
-            gb = g.astype(x.data.dtype, copy=False).view(bits)
-            xv = x.data.reshape(n, c, ho, k, wo, k)
-            gx = np.empty(x.shape, dtype=x.data.dtype)
+            # position but the winner gets +0.0 whatever the sign of g
+            bits = np.dtype(f"u{dtype.itemsize}")
+            gb = g.astype(dtype, copy=False).view(bits)
+            gx = np.empty((n, c, h, w), dtype=dtype)
             gv = gx.reshape(n, c, ho, k, wo, k).view(bits)
-            free = np.ones(out.shape, dtype=bool)
-            mask = np.empty(out.shape, dtype=bits)
+            hit = np.empty(win.shape, dtype=bool)
+            mask = np.empty(win.shape, dtype=bits)
             for i in range(k):
                 for j in range(k):
-                    hit = xv[:, :, :, i, :, j] == out
-                    hit &= free
+                    np.equal(win, i * k + j, out=hit)
                     np.subtract(0, hit, out=mask, dtype=bits)    # 0 - 1 sets every bit
                     np.bitwise_and(gb, mask, out=gv[:, :, :, i, :, j])
-                    free ^= hit
             return (gx,)
 
         return _out("maxpool", (x,), out, bwd)

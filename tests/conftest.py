@@ -1,5 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+
+from muvit import tensor as T
 
 
 @pytest.fixture
@@ -32,3 +36,16 @@ def conv2d_reference(x, w, b=None, stride=1, pad=0, groups=1):
     if b is not None:
         out += b[None, :, None, None]
     return out
+
+
+@contextmanager
+def forced_workers(k):
+    """Run the block with k workers on a pool of its own, shut down after."""
+    saved = T._WORKERS, T._POOL
+    T._WORKERS, T._POOL = k, None
+    try:
+        yield
+    finally:
+        if T._POOL is not None:
+            T._POOL.shutdown()
+        T._WORKERS, T._POOL = saved

@@ -35,22 +35,36 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, up, atol=1e-12)
 
     def test_repeated_backward_accumulates(self, rng):
+        # backward consumes its tape, so each call records its own forward
         x = f64(rng.standard_normal(5))
         with record():
-            loss = T.tsum(T.mul(x, x))
-            backward(loss)
-            g1 = x.grad.copy()
-            backward(loss)
+            backward(T.tsum(T.mul(x, x)))
+        g1 = x.grad.copy()
+        with record():
+            backward(T.tsum(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * g1, atol=1e-12)
 
     def test_cleared_grads_reset(self, rng):
         x = f64(rng.standard_normal(5))
         with record():
-            loss = T.tsum(T.mul(x, x))
-            backward(loss)
-            x.zero_grad()
-            backward(loss)
+            backward(T.tsum(T.mul(x, x)))
+        x.zero_grad()
+        with record():
+            backward(T.tsum(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)
+
+    def test_second_backward_on_consumed_tape_rejected(self, rng):
+        x = f64(rng.standard_normal(5))
+        w = f64(rng.standard_normal(5))
+        with record() as g:
+            loss = T.tsum(T.mul(T.mul(x, w), x))
+            backward(loss)
+            assert g.nodes == []
+            before = [x.grad.copy(), w.grad.copy()]
+            with pytest.raises(UsageError, match="consumed"):
+                backward(loss)
+        assert x.grad.tobytes() == before[0].tobytes()
+        assert w.grad.tobytes() == before[1].tobytes()
 
     def test_non_scalar_loss_rejected(self, rng):
         x = f64(rng.standard_normal(5))

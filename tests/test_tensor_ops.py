@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from muvit.nn import Conv2d
 from muvit.tensor import ConfigError, Tensor
 from muvit.training import seg_loss
 
-from conftest import conv2d_reference
+from conftest import conv2d_reference, forced_workers
 
 
 def t(arr, dtype="f64"):
@@ -417,6 +417,29 @@ class TestPool2d:
         with pytest.raises(ConfigError):
             T.pool2d(t(np.ones((1, 1, 3, 3))), "max", 2)
 
+    def test_max_nan_window_routes_to_first_maximum_ahead_of_nan(self):
+        # windows (row-major): [1, nan, 3, 2], [nan, 5, 6, 7], [1, 5, nan, 7]
+        x = Tensor(np.array([[[[1.0, np.nan, np.nan, 5.0, 1.0, 5.0],
+                               [3.0, 2.0, 6.0, 7.0, np.nan, 7.0]]]]), requires_grad=True)
+        with T.record():
+            out = T.pool2d(x, "max", 2)
+            T.backward(T.tsum(T.mul(out, Tensor(np.array([[[[2.0, 3.0, 4.0]]]])))))
+        assert np.isnan(out.data).all()
+        np.testing.assert_array_equal(x.grad[0, 0], [[2.0, 0.0, 3.0, 0.0, 0.0, 4.0],
+                                                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+    def test_max_recorded_input_freed_once_unreferenced(self, rng):
+        # the tape keeps the winner offsets, not the input or the output
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+        with T.record():
+            h = T.scale(x, 2.0)
+            ref = weakref.ref(h.data)
+            out = T.pool2d(h, "max", 2)
+            del h
+            assert ref() is None
+            T.backward(T.tsum(out))
+        assert x.grad.shape == x.shape
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [2, 3])
     def test_max_bitwise_equal_to_first_occurrence_reference(self, rng, k, dtype):
@@ -581,6 +604,17 @@ class TestActivations:
         assert T.sigmoid(t([0.0])).data[0] == 0.5
         np.testing.assert_allclose(T.softmax(t([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equal_to_three_exp_formula(self, rng, dtype):
+        # one exp(-|x|) shared by both branches gives the bytes of the formula
+        # that evaluates it once per use
+        d = np.concatenate([rng.standard_normal(100_000) * 30,
+                            [0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 103.9, -103.9]]).astype(dtype)
+        ref = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                       np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d)))).astype(dtype)
+        out = T.sigmoid(Tensor(d)).data
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+
     def test_gelu_at_one(self):
         # x * Phi(x) at 1: Phi(1) = 0.8413447 from the standard normal CDF
         assert abs(T.gelu(t([1.0])).data[0] - 0.841345) < 1e-5
@@ -732,19 +766,6 @@ class TestDeterminism:
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
-
-
-@contextmanager
-def forced_workers(k):
-    """Run the block with k workers on a pool of its own, shut down after."""
-    saved = T._WORKERS, T._POOL
-    T._WORKERS, T._POOL = k, None
-    try:
-        yield
-    finally:
-        if T._POOL is not None:
-            T._POOL.shutdown()
-        T._WORKERS, T._POOL = saved
 
 
 def sha(*arrays):
