@@ -42,17 +42,17 @@ class ConvUtrBlock(Module):
         out = BN(gelu(pointwise(z))) + y
     """
 
-    def __init__(self, d, kernel, dtype="f32"):
+    def __init__(self, d, kernel):
         super().__init__()
         if kernel % 2 == 0:
             raise ConfigError(f"ConvUtrBlock kernel must be odd, got {kernel}")
         self.d = d
-        self.dw = Conv2d(d, d, kernel, pad=kernel // 2, groups=d, bias=False, dtype=dtype)
-        self.bn1 = BatchNorm2d(d, dtype=dtype)
-        self.pw1 = Conv2d(d, d, 1, bias=False, dtype=dtype)
-        self.bn2 = BatchNorm2d(d, dtype=dtype)
-        self.pw2 = Conv2d(d, d, 1, bias=False, dtype=dtype)
-        self.bn3 = BatchNorm2d(d, dtype=dtype)
+        self.dw = Conv2d(d, d, kernel, pad=kernel // 2, groups=d, bias=False)
+        self.bn1 = BatchNorm2d(d)
+        self.pw1 = Conv2d(d, d, 1, bias=False)
+        self.bn2 = BatchNorm2d(d)
+        self.pw2 = Conv2d(d, d, 1, bias=False)
+        self.bn3 = BatchNorm2d(d)
 
     def forward(self, x):
         if x.shape[1] != self.d:
@@ -69,13 +69,13 @@ class Downsample(Module):
     output size integral on any even map.
     """
 
-    def __init__(self, c, mode="maxpool", dtype="f32"):
+    def __init__(self, c, mode):
         super().__init__()
         if mode not in ("maxpool", "conv"):
             raise ConfigError(f"unknown downsample mode '{mode}'")
         self.mode = mode
         if mode == "conv":
-            self.conv = Conv2d(c, c, 2, stride=2, pad=0, groups=c, bias=False, dtype=dtype)
+            self.conv = Conv2d(c, c, 2, stride=2, pad=0, groups=c, bias=False)
 
     def forward(self, x):
         if self.mode == "conv":
@@ -90,13 +90,13 @@ class ConvUtrStage(Module):
     pointwise projection.
     """
 
-    def __init__(self, cin, cout, depth, kernel, stem=False, downsample="maxpool", dtype="f32"):
+    def __init__(self, cin, cout, depth, kernel, stem=False, downsample="maxpool"):
         super().__init__()
         k = 3 if stem else 1
-        self.proj = Conv2d(cin, cout, k, pad=k // 2, bias=False, dtype=dtype)
-        self.proj_bn = BatchNorm2d(cout, dtype=dtype)
-        self.blocks = ModuleList([ConvUtrBlock(cout, kernel, dtype) for _ in range(depth)])
-        self.down = Downsample(cout, downsample, dtype)
+        self.proj = Conv2d(cin, cout, k, pad=k // 2, bias=False)
+        self.proj_bn = BatchNorm2d(cout)
+        self.blocks = ModuleList([ConvUtrBlock(cout, kernel) for _ in range(depth)])
+        self.down = Downsample(cout, downsample)
 
     def forward(self, x):
         if x.shape[2] % 2 or x.shape[3] % 2:
@@ -120,23 +120,20 @@ class LKLGLBlock(Module):
     `literal_order=True` swaps to attn-then-pool for comparison.
     """
 
-    def __init__(self, d, heads, kernel=9, pool_ratio=2, ffn_ratio=6, literal_order=False,
-                 dtype="f32"):
+    def __init__(self, d, heads, kernel=9, pool_ratio=2, ffn_ratio=6, literal_order=False):
         super().__init__()
-        if d % heads:
-            raise ConfigError(f"LKLGL dim {d} not divisible by {heads} heads")
         self.d, self.p = d, pool_ratio
         self.literal_order = literal_order
-        self.norm1 = ChannelLayerNorm(d, dtype=dtype)
-        self.dw = Conv2d(d, d, kernel, pad=kernel // 2, groups=d, bias=False, dtype=dtype)
-        self.pw = Conv2d(d, d, 1, bias=True, dtype=dtype)
-        self.norm2 = LayerNorm(d, dtype=dtype)
-        self.ffn1 = FeedForward(d, ffn_ratio, dtype=dtype)
-        self.norm3 = ChannelLayerNorm(d, dtype=dtype)
-        self.attn = MultiHeadSelfAttention(d, heads, dtype=dtype)
-        self.transconv = ConvTranspose2d(d, d, pool_ratio, dtype=dtype)
-        self.norm4 = LayerNorm(d, dtype=dtype)
-        self.ffn2 = FeedForward(d, ffn_ratio, dtype=dtype)
+        self.norm1 = ChannelLayerNorm(d)
+        self.dw = Conv2d(d, d, kernel, pad=kernel // 2, groups=d, bias=False)
+        self.pw = Conv2d(d, d, 1, bias=True)
+        self.norm2 = LayerNorm(d)
+        self.ffn1 = FeedForward(d, ffn_ratio)
+        self.norm3 = ChannelLayerNorm(d)
+        self.attn = MultiHeadSelfAttention(d, heads)
+        self.transconv = ConvTranspose2d(d, d, pool_ratio)
+        self.norm4 = LayerNorm(d)
+        self.ffn2 = FeedForward(d, ffn_ratio)
 
     def _token_ffn(self, norm, ffn, x):
         n, c, h, w = x.shape
@@ -166,12 +163,12 @@ class LKLGLBlock(Module):
 class TransformerBlock(Module):
     """Pre-norm transformer encoder block on [N, T, d] tokens."""
 
-    def __init__(self, d, heads, ffn_ratio=6, dtype="f32"):
+    def __init__(self, d, heads, ffn_ratio=6):
         super().__init__()
-        self.norm1 = LayerNorm(d, dtype=dtype)
-        self.attn = MultiHeadSelfAttention(d, heads, dtype=dtype)
-        self.norm2 = LayerNorm(d, dtype=dtype)
-        self.ffn = FeedForward(d, ffn_ratio, dtype=dtype)
+        self.norm1 = LayerNorm(d)
+        self.attn = MultiHeadSelfAttention(d, heads)
+        self.norm2 = LayerNorm(d)
+        self.ffn = FeedForward(d, ffn_ratio)
 
     def forward(self, x):
         t = T.add(self.attn(self.norm1(x)), x)
@@ -186,13 +183,13 @@ class SkipAdapter(Module):
     keeps the resolution. Both apply two conv(3x3)-ReLU-BN refinements.
     """
 
-    def __init__(self, cin, cout, pool=True, dtype="f32"):
+    def __init__(self, cin, cout, pool=True):
         super().__init__()
         self.pool = pool
-        self.conv1 = Conv2d(cin, cout, 3, pad=1, bias=False, dtype=dtype)
-        self.bn1 = BatchNorm2d(cout, dtype=dtype)
-        self.conv2 = Conv2d(cout, cout, 3, pad=1, bias=False, dtype=dtype)
-        self.bn2 = BatchNorm2d(cout, dtype=dtype)
+        self.conv1 = Conv2d(cin, cout, 3, pad=1, bias=False)
+        self.bn1 = BatchNorm2d(cout)
+        self.conv2 = Conv2d(cout, cout, 3, pad=1, bias=False)
+        self.bn2 = BatchNorm2d(cout)
 
     def forward(self, x):
         if self.pool:
@@ -206,11 +203,11 @@ class SkipAdapter(Module):
 class DecoderBlock(Module):
     """Bilinear 2x upsample, optional skip concat, then conv-BN-ReLU."""
 
-    def __init__(self, cin, cskip, cout, dtype="f32"):
+    def __init__(self, cin, cskip, cout):
         super().__init__()
         self.cskip = cskip
-        self.conv = Conv2d(cin + cskip, cout, 3, pad=1, bias=False, dtype=dtype)
-        self.bn = BatchNorm2d(cout, dtype=dtype)
+        self.conv = Conv2d(cin + cskip, cout, 3, pad=1, bias=False)
+        self.bn = BatchNorm2d(cout)
 
     def forward(self, x, skip=None):
         x = T.bilinear_upsample(x, 2)

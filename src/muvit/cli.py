@@ -17,18 +17,24 @@ from .accounting import count_flops, count_params
 from .data import (config_doc_loads, doc_from_model_config, load_checkpoint,
                    load_dataset, load_model_state, model_config_from_doc,
                    save_checkpoint, save_dataset, synth_dataset)
-from .metrics import evaluate
+from .metrics import PROB_THRESHOLD, evaluate
 from .model import SKIPS, VARIANTS, ModelConfig, build_model
 from .tensor import Tensor
 from .training import train_loop
 from .verify import THRESHOLD, run_suite
 
 
-def _parse_kernels(text):
-    parts = tuple(int(p) for p in text.split(","))
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated kernel sizes")
-    return parts
+def _int_list(count, what):
+    """argparse type: exactly `count` comma-separated integers."""
+    def parse(text):
+        try:
+            parts = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return parts
+    return parse
 
 
 def _positive_int(text):
@@ -47,8 +53,8 @@ def _add_model_flags(p):
     p.add_argument("--classes", type=int, default=1)
     p.add_argument("--skip-mode", choices=tuple(SKIPS), default="skip3")
     p.add_argument("--downsample-mode", choices=("maxpool", "conv"), default="maxpool")
-    p.add_argument("--kernels", type=_parse_kernels, default=None,
-                   help="ConvUtr kernel ladder, e.g. 3,3,7")
+    p.add_argument("--kernels", type=_int_list(3, "three comma-separated kernel sizes"),
+                   default=None, help="ConvUtr kernel ladder, e.g. 3,3,7")
     p.add_argument("--literal-eq2", action="store_true",
                    help="attention before pooling in the local-global blocks")
 
@@ -90,9 +96,7 @@ def cmd_train(args):
         doc = config_doc_loads(f.read())
     cfg = model_config_from_doc(doc)
     if args.synth:
-        seed_s, n_s = args.synth.split(",")
-        samples = synth_dataset(int(seed_s), int(n_s), cfg.input_size,
-                                difficulty=args.difficulty)
+        samples = synth_dataset(*args.synth, cfg.input_size, difficulty=args.difficulty)
         n_val = max(1, len(samples) // 5)
         train_set, val_set = samples[:-n_val], samples[-n_val:]
     else:
@@ -120,7 +124,7 @@ def cmd_eval(args):
     for i, s in enumerate(res.per_sample):
         print(f"sample {i:4d}  IoU {s.iou:.4f}  F1 {s.f1:.4f}")
     print(f"mean IoU {res.mean_iou:.4f}  mean F1 {res.mean_f1:.4f}  "
-          f"({len(res.per_sample)} samples, threshold {res.threshold})")
+          f"({len(res.per_sample)} samples, threshold {PROB_THRESHOLD})")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"mean_iou": res.mean_iou, "mean_f1": res.mean_f1,
@@ -223,7 +227,8 @@ def make_parser():
     p.add_argument("--config", required=True, help="config document file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="dataset dir with images/ and masks/")
-    src.add_argument("--synth", metavar="SEED,N", help="generate a synthetic dataset")
+    src.add_argument("--synth", type=_int_list(2, "SEED,N"), metavar="SEED,N",
+                     help="generate a synthetic dataset")
     p.add_argument("--val-data", help="separate validation dataset dir")
     p.add_argument("--difficulty", type=float, default=0.0)
     p.add_argument("--out", required=True)

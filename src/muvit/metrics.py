@@ -1,9 +1,10 @@
 """Segmentation overlap metrics (IoU, F1/Dice) and the evaluation harness.
 
-Counts are kept as integers so the exact identity F1 = 2*IoU / (1 + IoU)
-holds in rational arithmetic. When prediction and ground truth are both
-empty, both metrics are defined as 1.0 so all-background samples do not
-poison dataset means.
+A pixel is predicted foreground when its sigmoid probability is at least
+PROB_THRESHOLD (0.5). Counts are kept as integers so the exact identity
+F1 = 2*IoU / (1 + IoU) holds in rational arithmetic. When prediction and
+ground truth are both empty, both metrics are defined as 1.0 so
+all-background samples do not poison dataset means.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +14,8 @@ import numpy as np
 from . import tensor as T
 from .data import standardize
 from .tensor import ConfigError, Tensor
+
+PROB_THRESHOLD = 0.5
 
 
 @dataclass
@@ -29,7 +32,6 @@ class EvalResult:
     per_sample: list = field(default_factory=list)
     mean_iou: float = 0.0
     mean_f1: float = 0.0
-    threshold: float = 0.5
 
     def to_records(self):
         return [{"index": i, "iou": s.iou, "f1": s.f1,
@@ -46,8 +48,8 @@ def _counts_to_metrics(inter, psize, gsize):
     return iou, f1
 
 
-def segmentation_metrics(logits, gt, threshold=0.5):
-    """Per-sample IoU and F1 of thresholded sigmoid predictions.
+def segmentation_metrics(logits, gt):
+    """Per-sample IoU and F1 of sigmoid predictions thresholded at PROB_THRESHOLD.
 
     Accepts [C,H,W] or [N,C,H,W]; each sample is scored over all its pixels.
     """
@@ -61,9 +63,9 @@ def segmentation_metrics(logits, gt, threshold=0.5):
         logits = logits[None]
         gt = gt[None]
     prob = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
-    pred = prob >= threshold
+    pred = prob >= PROB_THRESHOLD
     gtb = gt >= 0.5
-    result = EvalResult(threshold=threshold)
+    result = EvalResult()
     for i in range(logits.shape[0]):
         inter = int(np.logical_and(pred[i], gtb[i]).sum())
         psize = int(pred[i].sum())
@@ -75,19 +77,19 @@ def segmentation_metrics(logits, gt, threshold=0.5):
     return result
 
 
-def evaluate(model, dataset, batch_size=8, threshold=0.5):
+def evaluate(model, dataset, batch_size=8):
     """Mean of per-sample metrics over a dataset, in deterministic order."""
     if not dataset:
         raise ConfigError("evaluate: empty dataset")
     model.eval()
-    result = EvalResult(threshold=threshold)
+    result = EvalResult()
     dtype = T.DTYPES[model.cfg.dtype]
     for start in range(0, len(dataset), batch_size):
         chunk = dataset[start:start + batch_size]
         x = Tensor(np.stack([standardize(s.image) for s in chunk]).astype(dtype))
         y = np.stack([s.mask for s in chunk])
         logits = model(x)
-        part = segmentation_metrics(logits.data, y, threshold)
+        part = segmentation_metrics(logits.data, y)
         result.per_sample.extend(part.per_sample)
     result.mean_iou = float(np.mean([s.iou for s in result.per_sample]))
     result.mean_f1 = float(np.mean([s.f1 for s in result.per_sample]))

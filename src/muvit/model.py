@@ -126,38 +126,34 @@ class MobileUViT(Module):
         self.cfg = cfg
         c = cfg.channels
         k = cfg.convutr_kernels
-        dt = cfg.dtype
         dm = cfg.downsample_mode
 
-        self.enc1 = ConvUtrStage(3, c[0], cfg.depths[0], k[0], stem=True, downsample=dm, dtype=dt)
-        self.enc2 = ConvUtrStage(c[0], c[1], cfg.depths[1], k[1], downsample=dm, dtype=dt)
-        self.enc3 = ConvUtrStage(c[1], c[2], cfg.depths[2], k[2], downsample=dm, dtype=dt)
+        self.enc1 = ConvUtrStage(3, c[0], cfg.depths[0], k[0], stem=True, downsample=dm)
+        self.enc2 = ConvUtrStage(c[0], c[1], cfg.depths[1], k[1], downsample=dm)
+        self.enc3 = ConvUtrStage(c[1], c[2], cfg.depths[2], k[2], downsample=dm)
 
-        self.down4 = Downsample(c[2], dm, dtype=dt)
-        self.proj4 = Conv2d(c[2], c[3], 1, bias=False, dtype=dt)
-        self.proj4_bn = BatchNorm2d(c[3], dtype=dt)
+        self.down4 = Downsample(c[2], dm)
+        self.proj4 = Conv2d(c[2], c[3], 1, bias=False)
+        self.proj4_bn = BatchNorm2d(c[3])
         heads4 = c[3] // HEAD_DIM
-        self.enc4 = ModuleList([
-            LKLGLBlock(c[3], heads4, LKLGL_KERNEL, POOL_RATIO, FFN_RATIO,
-                       cfg.literal_eq2, dtype=dt)
-            for _ in range(cfg.depths[3])])
+        self.enc4 = ModuleList([LKLGLBlock(c[3], heads4, LKLGL_KERNEL, POOL_RATIO, FFN_RATIO,
+                                           cfg.literal_eq2) for _ in range(cfg.depths[3])])
 
-        self.down5 = Downsample(c[3], dm, dtype=dt)
-        self.proj5 = Conv2d(c[3], c[4], 1, bias=False, dtype=dt)
-        self.proj5_bn = BatchNorm2d(c[4], dtype=dt)
-        self.pos_embed = nn._param((1, cfg.token_count, c[4]), dt, "zero")
+        self.down5 = Downsample(c[3], dm)
+        self.proj5 = Conv2d(c[3], c[4], 1, bias=False)
+        self.proj5_bn = BatchNorm2d(c[4])
+        self.pos_embed = nn._param((1, cfg.token_count, c[4]), "zero")
         heads5 = c[4] // HEAD_DIM
-        self.enc5 = ModuleList([
-            TransformerBlock(c[4], heads5, FFN_RATIO, dtype=dt)
-            for _ in range(cfg.depths[4])])
+        self.enc5 = ModuleList([TransformerBlock(c[4], heads5, FFN_RATIO)
+                                for _ in range(cfg.depths[4])])
 
         for row in cfg.skips:
             ch = c[row.stage - 1]
-            setattr(self, row.name, SkipAdapter(ch, ch, pool=row.pooled, dtype=dt))
+            setattr(self, row.name, SkipAdapter(ch, ch, pool=row.pooled))
 
-        self.dec = ModuleList([DecoderBlock(cin, cskip, cout, dtype=dt)
-                               for cin, cskip, cout in cfg.decoder])
-        self.head = Conv2d(cfg.decoder[-1][2], cfg.num_classes, 1, bias=True, dtype=dt)
+        self.dec = ModuleList([DecoderBlock(cin, cskip, cout) for cin, cskip, cout in cfg.decoder])
+        self.head = Conv2d(cfg.decoder[-1][2], cfg.num_classes, 1, bias=True)
+        self.astype(cfg.dtype)
 
     def encode(self, x, taps=None):
         """Run the encoder; returns (stage outputs f1..f5)."""

@@ -4,6 +4,9 @@ Modules own named parameters (trainable) and buffers (running statistics).
 Dotted parameter names are stable across runs and are the checkpoint
 contract. Initialization is seeded per-tensor, so adding or removing one
 layer never shifts the random draws of another.
+
+Layers take shapes only and are built in f32; Module.astype casts a whole
+tree at once, so one model has one dtype.
 """
 
 import hashlib
@@ -17,8 +20,8 @@ from .tensor import ConfigError, Tensor
 class Parameter(Tensor):
     """Trainable tensor; registered automatically when set on a Module."""
 
-    def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -81,6 +84,17 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def astype(self, dtype):
+        """Cast every parameter's .data (the Parameter and its init_kind stay)
+        and every buffer to dtype ("f32" or "f64") in place; returns self."""
+        dt = T.DTYPES[dtype]
+        for m in self.modules():
+            for p in m._params.values():
+                p.data = p.data.astype(dt, copy=False)
+            for name, b in m._buffers.items():
+                m.register_buffer(name, b.astype(dt, copy=False))
+        return self
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -133,11 +147,8 @@ def initialize(model, seed):
     for name, p in model.named_parameters():
         rng = _tensor_rng(seed, name)
         kind = getattr(p, "init_kind", "zero")
-        if kind == "conv":
-            fan_in = int(np.prod(p.shape[1:]))
-            p.data[...] = (rng.standard_normal(p.shape) * np.sqrt(2.0 / fan_in)).astype(p.data.dtype)
-        elif kind == "conv_transpose":
-            fan_in = p.shape[0] * p.shape[2] * p.shape[3]
+        if kind in ("conv", "conv_transpose"):
+            fan_in = p.data.size // p.shape[0 if kind == "conv" else 1]   # per output channel
             p.data[...] = (rng.standard_normal(p.shape) * np.sqrt(2.0 / fan_in)).astype(p.data.dtype)
         elif kind == "linear":
             p.data[...] = _trunc_normal(rng, p.shape, 0.02).astype(p.data.dtype)
@@ -149,8 +160,8 @@ def initialize(model, seed):
             raise ConfigError(f"unknown init kind '{kind}' on {name}")
 
 
-def _param(shape, dtype, kind):
-    p = Parameter(np.zeros(shape, dtype=T.DTYPES[dtype]))
+def _param(shape, kind):
+    p = Parameter(np.zeros(shape, np.float32))
     p.init_kind = kind
     return p
 
@@ -160,14 +171,14 @@ def _param(shape, dtype, kind):
 
 
 class Conv2d(Module):
-    def __init__(self, cin, cout, k, stride=1, pad=0, groups=1, bias=True, dtype="f32"):
+    def __init__(self, cin, cout, k, stride=1, pad=0, groups=1, bias=True):
         super().__init__()
         if groups != 1 and not groups == cin == cout:
             raise ConfigError(f"Conv2d: groups={groups} on {cin}->{cout} channels is neither "
                               "dense nor depthwise")
         self.stride, self.pad, self.groups = stride, pad, groups
-        self.weight = _param((cout, cin // groups, k, k), dtype, "conv")
-        self.bias = _param((cout,), dtype, "zero") if bias else None
+        self.weight = _param((cout, cin // groups, k, k), "conv")
+        self.bias = _param((cout,), "zero") if bias else None
 
     def forward(self, x):
         return T.conv2d(x, self.weight, self.bias, self.stride, self.pad, self.groups)
@@ -176,79 +187,65 @@ class Conv2d(Module):
 class ConvTranspose2d(Module):
     """Transposed conv whose stride equals its kernel size."""
 
-    def __init__(self, cin, cout, k=2, bias=True, dtype="f32"):
+    def __init__(self, cin, cout, k=2):
         super().__init__()
-        self.weight = _param((cin, cout, k, k), dtype, "conv_transpose")
-        self.bias = _param((cout,), dtype, "zero") if bias else None
+        self.weight = _param((cin, cout, k, k), "conv_transpose")
+        self.bias = _param((cout,), "zero")
 
     def forward(self, x):
         return T.conv_transpose2d(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c, eps=1e-5, momentum=0.1, dtype="f32"):
+    def __init__(self, c):
         super().__init__()
-        self.eps, self.momentum = eps, momentum
-        self.gamma = _param((c,), dtype, "one")
-        self.beta = _param((c,), dtype, "zero")
-        self.register_buffer("running_mean", np.zeros(c, dtype=T.DTYPES[dtype]))
-        self.register_buffer("running_var", np.ones(c, dtype=T.DTYPES[dtype]))
+        self.gamma = _param((c,), "one")
+        self.beta = _param((c,), "zero")
+        self.register_buffer("running_mean", np.zeros(c, np.float32))
+        self.register_buffer("running_var", np.ones(c, np.float32))
 
     def forward(self, x):
         return T.batchnorm2d(x, self.gamma, self.beta,
-                             (self.running_mean, self.running_var),
-                             self.eps, self.momentum, self.training)
+                             (self.running_mean, self.running_var), self.training)
 
 
 class LayerNorm(Module):
     """Layer norm over the last dim."""
 
-    def __init__(self, d, eps=1e-6, dtype="f32"):
+    def __init__(self, d):
         super().__init__()
-        self.eps = eps
-        self.gamma = _param((d,), dtype, "one")
-        self.beta = _param((d,), dtype, "zero")
+        self.gamma = _param((d,), "one")
+        self.beta = _param((d,), "zero")
 
     def forward(self, x):
-        return T.layernorm(x, self.gamma, self.beta, self.eps)
+        return T.layernorm(x, self.gamma, self.beta)
 
 
-class ChannelLayerNorm(Module):
+class ChannelLayerNorm(LayerNorm):
     """Layer norm across channels at each spatial position of an NCHW map."""
 
-    def __init__(self, c, eps=1e-6, dtype="f32"):
-        super().__init__()
-        self.eps = eps
-        self.gamma = _param((c,), dtype, "one")
-        self.beta = _param((c,), dtype, "zero")
-
     def forward(self, x):
-        n, c, h, w = x.shape
-        t = T.transpose(x, (0, 2, 3, 1))
-        t = T.layernorm(t, self.gamma, self.beta, self.eps)
+        t = super().forward(T.transpose(x, (0, 2, 3, 1)))
         return T.transpose(t, (0, 3, 1, 2))
 
 
 class Linear(Module):
-    def __init__(self, din, dout, bias=True, dtype="f32"):
+    def __init__(self, din, dout):
         super().__init__()
-        self.weight = _param((dout, din), dtype, "linear")
-        self.bias = _param((dout,), dtype, "zero") if bias else None
+        self.weight = _param((dout, din), "linear")
+        self.bias = _param((dout,), "zero")
 
     def forward(self, x):
         return T.linear(x, self.weight, self.bias)
 
 
 class MultiHeadSelfAttention(Module):
-    def __init__(self, d, heads, dtype="f32"):
+    def __init__(self, d, heads):
         super().__init__()
         if d % heads:
             raise ConfigError(f"attention dim {d} not divisible by {heads} heads")
         self.heads = heads
-        self.wq = Linear(d, d, dtype=dtype)
-        self.wk = Linear(d, d, dtype=dtype)
-        self.wv = Linear(d, d, dtype=dtype)
-        self.wo = Linear(d, d, dtype=dtype)
+        self.wq, self.wk, self.wv, self.wo = (Linear(d, d) for _ in range(4))
 
     def forward(self, x):
         return T.mhsa(x, self.heads,
@@ -259,10 +256,10 @@ class MultiHeadSelfAttention(Module):
 class FeedForward(Module):
     """Position-wise two-layer MLP with GELU, applied to [..., d] tokens."""
 
-    def __init__(self, d, ratio, dtype="f32"):
+    def __init__(self, d, ratio):
         super().__init__()
-        self.fc1 = Linear(d, d * ratio, dtype=dtype)
-        self.fc2 = Linear(d * ratio, d, dtype=dtype)
+        self.fc1 = Linear(d, d * ratio)
+        self.fc2 = Linear(d * ratio, d)
 
     def forward(self, x):
         return self.fc2(T.gelu(self.fc1(x)))

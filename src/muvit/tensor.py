@@ -211,6 +211,7 @@ def record():
 
     backward() must be called inside the same block, once: it reads the
     active graph and consumes its tape, and a second call raises UsageError.
+    Ops run after it in the same block are not recorded, as under no_grad.
     Tensors keep no reference to the graph that produced them, so whatever
     is left of the tape is freed by reference counting once the block exits.
     Until backward runs, the tape pins only leaf Tensors and the arrays that
@@ -267,10 +268,10 @@ def _tally(op, macs):
 
 
 def _recorded(inputs):
-    """Whether _out will record an op on these inputs: a graph is active
-    and some input needs a gradient."""
-    return _GRAPH is not None and any(isinstance(i, Tensor) and i.requires_grad
-                                      for i in inputs)
+    """Whether _out will record an op on these inputs: a graph is active,
+    backward has not consumed it yet, and some input needs a gradient."""
+    return (_GRAPH is not None and not _GRAPH.consumed
+            and any(isinstance(i, Tensor) and i.requires_grad for i in inputs))
 
 
 def _out(op, inputs, data, bwd):
@@ -619,7 +620,7 @@ def gelu(x):
     so the backward pass is one multiply; otherwise no derivative is computed.
     """
     d = x.data
-    need_grad = _GRAPH is not None and x.requires_grad
+    need_grad = _recorded((x,))
     if d.dtype == np.float32:
         out, dg = _gelu_f32(d, need_grad)
     else:
@@ -1210,14 +1211,18 @@ def bilinear_upsample(x, scale=2):
 # normalization
 
 
-def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
-    """Per-channel batch norm over N*H*W.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def batchnorm2d(x, gamma, beta, running, training=True):
+    """Per-channel batch norm over N*H*W, with eps BN_EPS.
 
     `running` is a (mean, var) pair of raw arrays updated in place in train
-    mode; eval mode normalizes with them instead of batch statistics. The
-    statistics are contiguous reductions on the [N, C, H*W] view,
-    r.sum(axis=2).sum(axis=0) / m and the same on the centred squares, which
-    is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
+    mode, with momentum BN_MOMENTUM; eval mode normalizes with them instead
+    of batch statistics. The statistics are contiguous reductions on the
+    [N, C, H*W] view, r.sum(axis=2).sum(axis=0) / m and the same on the
+    centred squares, which is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
     once into xhat, scales it in place and writes the affine into the output
     with out=, in eval mode split over the workers by channel groups; an
     unrecorded eval call runs the same ops in the output itself, with no
@@ -1242,18 +1247,18 @@ def batchnorm2d(x, gamma, beta, running, eps=1e-5, momentum=0.1, training=True):
         var = o.sum(axis=2).sum(axis=0) / m
         if running is not None:
             rm, rv = running
-            rm *= 1.0 - momentum
-            rm += momentum * mu
-            rv *= 1.0 - momentum
-            rv += momentum * var
+            rm *= 1.0 - BN_MOMENTUM
+            rm += BN_MOMENTUM * mu
+            rv *= 1.0 - BN_MOMENTUM
+            rv += BN_MOMENTUM * var
         # serial: the statistics are, and splitting the rest measured slower
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= invstd[:, None]
         np.multiply(xhat, gamma.data[:, None], out=o)
         o += beta.data[:, None]
     else:
         mu, var = running
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         # unrecorded, no backward reads xhat, so it is normalized in the output
         xdt = np.result_type(r, mu)
         xhat = o if xdt == dtype and not _recorded((x, gamma, beta)) else np.empty(r.shape, xdt)

@@ -2,6 +2,8 @@
 
 The segmentation loss is total = 0.5 * BCE + Dice, built from recorded
 tensor ops so its gradient flows through the same tape as the model.
+train_loop always augments (seeded per epoch and sample) and steps SGD at
+its default momentum 0.9 and weight decay 1e-4.
 """
 
 import json
@@ -105,15 +107,15 @@ class SGD:
             self.step_count = int(arrays["optim.step"].reshape(-1)[0])
 
 
-def lr_schedule(kind, t, total, lr0, warmup=0, power=0.9):
-    """poly: lr0*(1 - t/T)^power; warmup_cosine: linear 0->lr0 over W then
+def lr_schedule(kind, t, total, lr0, warmup=0):
+    """poly: lr0*(1 - t/T)^0.9; warmup_cosine: linear 0->lr0 over W then
     half-cosine to 0; constant: lr0."""
     if total <= 0:
         raise ConfigError("lr_schedule needs a positive total step count")
     if not 0 <= t <= total:
         raise ConfigError(f"step {t} outside [0, {total}]")
     if kind == "poly":
-        return lr0 * (1.0 - t / total) ** power
+        return lr0 * (1.0 - t / total) ** 0.9
     if kind == "warmup_cosine":
         if t < warmup:
             return lr0 * t / warmup
@@ -170,17 +172,13 @@ class TrainResult:
     optimizer: SGD
 
 
-def _batch_tensors(dataset, indices, seed, epoch, do_augment, dtype):
+def _batch_tensors(dataset, indices, seed, epoch, dtype):
     images, masks = [], []
     for i in indices:
         s = dataset[i]
-        img, msk = s.image, s.mask
-        if do_augment:
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([seed, 7919, epoch, int(i)])))
-            img, msk = augment(img, msk, rng)
-        else:
-            img = standardize(img)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed, 7919, epoch, int(i)])))
+        img, msk = augment(s.image, s.mask, rng)
         images.append(img)
         masks.append(msk)
     x = Tensor(np.stack(images).astype(T.DTYPES[dtype]))
@@ -189,9 +187,8 @@ def _batch_tensors(dataset, indices, seed, epoch, do_augment, dtype):
 
 
 def train_loop(model, train_set, val_set, epochs, batch_size,
-               schedule="poly", lr0=0.01, momentum=0.9, weight_decay=1e-4,
-               warmup=0, seed=0, do_augment=True, log_path=None):
-    """Seeded, deterministic training; returns history and the best-val state.
+               schedule="poly", lr0=0.01, seed=0, log_path=None):
+    """Seeded, deterministic, augmented training; returns history and the best-val state.
 
     Identical seeds and data give bitwise-identical loss traces. A non-finite
     loss aborts with the name of the first non-finite layer.
@@ -202,7 +199,7 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
         raise ConfigError("batch size larger than the training set")
     steps_per_epoch = math.ceil(len(train_set) / batch_size)
     total_steps = epochs * steps_per_epoch
-    opt = SGD(list(model.named_parameters()), momentum, weight_decay)
+    opt = SGD(list(model.named_parameters()))
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 104729])))
     dtype = model.cfg.dtype
     history, epoch_log = [], []
@@ -215,8 +212,8 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
             model.train()
             for b in range(steps_per_epoch):
                 idx = order[b * batch_size:(b + 1) * batch_size]
-                x, y = _batch_tensors(train_set, idx, seed, epoch, do_augment, dtype)
-                lr = lr_schedule(schedule, step, total_steps, lr0, warmup)
+                x, y = _batch_tensors(train_set, idx, seed, epoch, dtype)
+                lr = lr_schedule(schedule, step, total_steps, lr0)
                 with T.record():
                     logits = model(x)
                     terms = seg_loss(logits, y)

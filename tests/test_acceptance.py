@@ -118,9 +118,9 @@ def test_criterion_05_zero_init_identity():
     budget = Budget(10)
     rng = np.random.default_rng(0)
     blocks = [
-        (zero_weights(ConvUtrBlock(6, 7, dtype="f64")), (2, 6, 8, 8)),
-        (zero_weights(LKLGLBlock(8, 2, ffn_ratio=4, dtype="f64")), (1, 8, 6, 6)),
-        (zero_weights(TransformerBlock(8, 2, ffn_ratio=4, dtype="f64")), (2, 5, 8)),
+        (zero_weights(ConvUtrBlock(6, 7).astype("f64")), (2, 6, 8, 8)),
+        (zero_weights(LKLGLBlock(8, 2, ffn_ratio=4).astype("f64")), (1, 8, 6, 6)),
+        (zero_weights(TransformerBlock(8, 2, ffn_ratio=4).astype("f64")), (2, 5, 8)),
     ]
     worst = 0.0
     for blk, shape in blocks:

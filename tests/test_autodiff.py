@@ -66,6 +66,23 @@ class TestBackwardSemantics:
         assert x.grad.tobytes() == before[0].tobytes()
         assert w.grad.tobytes() == before[1].tobytes()
 
+    def test_ops_after_backward_are_not_recorded(self, rng, monkeypatch):
+        need_grad = []
+        gelu_f32 = T._gelu_f32
+
+        def spy(d, need):
+            need_grad.append(need)
+            return gelu_f32(d, need)
+
+        monkeypatch.setattr(T, "_gelu_f32", spy)
+        x = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+        with record() as g:
+            backward(T.tsum(T.mul(x, x)))
+            outs = [T.gelu(x), T.mul(x, x)]
+            assert g.nodes == []
+        assert not any(o.requires_grad for o in outs)
+        assert need_grad == [False]
+
     def test_non_scalar_loss_rejected(self, rng):
         x = f64(rng.standard_normal(5))
         with record():

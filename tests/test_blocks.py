@@ -26,26 +26,26 @@ def f64(rng, shape):
 
 class TestZeroInitIdentity:
     def test_conv_utr_block(self, rng):
-        blk = zero_weights(ConvUtrBlock(6, 7, dtype="f64"))
+        blk = zero_weights(ConvUtrBlock(6, 7).astype("f64"))
         x = f64(rng, (2, 6, 8, 8))
         out = blk(x)
         assert np.max(np.abs(out.data - x.data)) <= 1e-12
 
     def test_lklgl_block(self, rng):
-        blk = zero_weights(LKLGLBlock(8, 2, kernel=9, pool_ratio=2, ffn_ratio=4, dtype="f64"))
+        blk = zero_weights(LKLGLBlock(8, 2, kernel=9, pool_ratio=2, ffn_ratio=4).astype("f64"))
         x = f64(rng, (1, 8, 6, 6))
         out = blk(x)
         assert np.max(np.abs(out.data - x.data)) <= 1e-12
 
     def test_lklgl_block_literal_order(self, rng):
         blk = zero_weights(LKLGLBlock(8, 2, kernel=3, pool_ratio=2, ffn_ratio=4,
-                                      literal_order=True, dtype="f64"))
+                                      literal_order=True).astype("f64"))
         x = f64(rng, (1, 8, 4, 4))
         out = blk(x)
         assert np.max(np.abs(out.data - x.data)) <= 1e-12
 
     def test_vit_block(self, rng):
-        blk = zero_weights(TransformerBlock(8, 2, ffn_ratio=4, dtype="f64"))
+        blk = zero_weights(TransformerBlock(8, 2, ffn_ratio=4).astype("f64"))
         x = f64(rng, (2, 5, 8))
         out = blk(x)
         assert np.max(np.abs(out.data - x.data)) <= 1e-12
@@ -130,7 +130,7 @@ class TestConvUtrStage:
         assert stage(x).shape == (1, 32, 32, 32)
 
     def test_zeroed_blocks_reduce_to_projection_and_pool(self, rng):
-        stage = ConvUtrStage(4, 8, 2, 3, dtype="f64")
+        stage = ConvUtrStage(4, 8, 2, 3).astype("f64")
         zero_weights(stage)
         # reinstate the projection so the stage is projection + pool only
         initialize(stage.proj, 3)
@@ -161,7 +161,7 @@ class TestSkipAdapter:
         assert ad(x).shape == (1, 16, 64, 64)
 
     def test_zero_convs_zero_output(self, rng):
-        ad = zero_weights(SkipAdapter(4, 6, pool=True, dtype="f64"))
+        ad = zero_weights(SkipAdapter(4, 6, pool=True).astype("f64"))
         x = f64(rng, (1, 4, 8, 8))
         assert np.all(ad(x).data == 0.0)
 

@@ -153,5 +153,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "positive integer" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1", "1,2,3", "1,x"])
+    def test_malformed_synth_exits_2_naming_the_flag(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 64, "epochs": 1, "batch": 4}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train", "--config", str(cfg_path), "--synth", value,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --synth" in err and "SEED,N" in err
+
     def test_bad_size_is_runtime_error(self, capsys):
         assert run_cli(["count", "--variant", "base", "--size", "100"]) == 1

@@ -1,10 +1,12 @@
 """Full-model assembly: config validation, shapes, determinism, modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from muvit import tensor as T
-from muvit.blocks import LKLGLBlock
+from muvit.blocks import ConvUtrStage, LKLGLBlock, TransformerBlock
 from muvit.model import POOL_RATIO, ModelConfig, build_model, first_nonfinite_layer
 from muvit.tensor import ConfigError, Tensor, UsageError
 
@@ -100,6 +102,49 @@ class TestBuildDeterminism:
         for name in pa:
             if name.startswith(("enc", "proj", "pos_embed", "stem")):
                 assert pa[name].data.tobytes() == pb[name].data.tobytes(), name
+
+
+class TestDtype:
+    # sha256 over (name, bytes) of named_state(), in order, of the seed-0 Base@64
+    # build; the f64 build is cast from f32 layers before its init draws
+    STATE_SHA256 = {
+        "f32": "2549f49530fd7641bebc4e2c2e05bfd293d471eb5dd7fd2c4e282aca1b3180c8",
+        "f64": "d7754fd5f4a5cb597c9474c032e1926c14d2d0127a3ac1734724fba7977b3acd",
+    }
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_initial_state_pinned(self, dtype):
+        cfg = ModelConfig.for_variant("base", input_size=64, dtype=dtype)
+        h = hashlib.sha256()
+        for name, arr in build_model(cfg, seed=0).named_state().items():
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == self.STATE_SHA256[dtype]
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_model(ModelConfig.for_variant("base", input_size=64, dtype="f64"), seed=0),
+        lambda: ConvUtrStage(4, 8, 2, 3).astype("f64"),
+        lambda: LKLGLBlock(8, 2, ffn_ratio=2).astype("f64"),
+        lambda: TransformerBlock(8, 2, ffn_ratio=2).astype("f64"),
+    ])
+    def test_every_parameter_and_buffer_is_f64(self, make):
+        model = make()
+        assert all(arr.dtype == np.float64 for arr in model.named_state().values())
+        # attributes such as running_mean follow the re-registered buffers
+        for m in model.modules():
+            for name, buf in m._buffers.items():
+                assert getattr(m, name) is buf
+
+    def test_astype_keeps_parameter_identity_and_init_kind(self):
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        before = [(name, p, p.init_kind, p.data.copy()) for name, p in model.named_parameters()]
+        assert model.astype("f64") is model
+        after = list(model.named_parameters())
+        assert [name for name, *_ in before] == [name for name, _ in after]
+        for (_, p, kind, data), (_, q) in zip(before, after):
+            assert q is p and q.init_kind == kind
+            assert q.data.dtype == np.float64
+            assert q.data.astype(np.float32).tobytes() == data.tobytes()
 
 
 class TestWiring:

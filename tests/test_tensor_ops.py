@@ -508,20 +508,19 @@ class TestNorms:
         np.testing.assert_allclose(out.data, 7.0, atol=1e-12)
 
     def test_bn_two_values(self):
-        # values {1, 3}: mean 2, biased std 1 -> outputs -1, +1 as eps -> 0
+        # values {1, 3}: mean 2, biased variance 1 -> outputs -+1 / sqrt(1 + eps)
         x = np.zeros((2, 1, 1, 1))
         x[0, 0] = 1.0
         x[1, 0] = 3.0
-        out = T.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), None,
-                            eps=1e-12, training=True)
-        np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-6)
+        out = T.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), None, training=True)
+        np.testing.assert_allclose(out.data.reshape(-1),
+                                   np.array([-1.0, 1.0]) / np.sqrt(1.0 + T.BN_EPS), atol=1e-12)
 
     def test_bn_eval_uses_running_stats(self):
         running = (np.array([2.0]), np.array([4.0]))
         x = t(np.full((1, 1, 2, 2), 6.0))
-        out = T.batchnorm2d(x, t(np.ones(1)), t(np.zeros(1)), running,
-                            eps=0.0, training=False)
-        np.testing.assert_allclose(out.data, 2.0)  # (6-2)/sqrt(4)
+        out = T.batchnorm2d(x, t(np.ones(1)), t(np.zeros(1)), running, training=False)
+        np.testing.assert_allclose(out.data, 4.0 / np.sqrt(4.0 + T.BN_EPS))  # (6-2)/sqrt(4+eps)
 
     def test_bn_channel_mismatch(self):
         with pytest.raises(ConfigError):
