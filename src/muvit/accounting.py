@@ -1,10 +1,11 @@
 """Exact parameter and multiply-accumulate accounting.
 
-Two independent routes exist for each quantity: parameters are counted both
-in closed form from the config and by enumerating the model's actual
-tensors; MACs are counted both by an analytic shape walk and by the shadow
-counter inside the tensor ops. The report lists MACs and FLOPs (= 2*MACs,
-the convention used when quoting GFLOPs).
+Two independent routes exist for each quantity. One closed-form walk of the
+architecture from the config (count_flops) gives both the per-layer MACs
+and the trainable-parameter total. count_params checks that total against
+the model's actual tensors, and the shadow counter inside the tensor ops
+checks the MACs. The report lists MACs and FLOPs (= 2*MACs, the convention
+used when quoting GFLOPs).
 
 Closed forms: a conventional conv costs h*w*d_i*d_j*k^2 MACs; the ConvUtr
 core (large-kernel depthwise + two pointwise convs) costs
@@ -110,7 +111,7 @@ class CostReport:
 
 
 # ---------------------------------------------------------------------------
-# analytic parameter count (closed form from the config)
+# parameters: closed forms of the repeated blocks, and the enumerated report
 
 
 def _convutr_block_params(d, k):
@@ -134,54 +135,8 @@ def _vit_block_params(d, r):
     return norms + attn + ffn
 
 
-def analytic_param_rows(cfg: ModelConfig):
-    """Closed-form per-layer trainable parameter counts from the config."""
-    c = cfg.channels
-    k = cfg.convutr_kernels
-    r = FFN_RATIO
-    rows = []
-    conv_down = cfg.downsample_mode == "conv"
-
-    stage_in = (3, c[0], c[1])
-    for i in range(3):
-        cin, cout = stage_in[i], c[i]
-        pk = 3 if i == 0 else 1
-        rows.append(Row(f"enc{i + 1}.proj(+bn)", cout * cin * pk * pk + 2 * cout))
-        for b in range(cfg.depths[i]):
-            rows.append(Row(f"enc{i + 1}.block{b}", _convutr_block_params(cout, k[i])))
-        if conv_down:
-            rows.append(Row(f"enc{i + 1}.down", cout * 4))
-
-    if conv_down:
-        rows.append(Row("down4", c[2] * 4))
-    rows.append(Row("proj4(+bn)", c[3] * c[2] + 2 * c[3]))
-    for b in range(cfg.depths[3]):
-        rows.append(Row(f"enc4.block{b}",
-                        _lklgl_block_params(c[3], r, LKLGL_KERNEL, POOL_RATIO)))
-
-    if conv_down:
-        rows.append(Row("down5", c[3] * 4))
-    rows.append(Row("proj5(+bn)", c[4] * c[3] + 2 * c[4]))
-    rows.append(Row("pos_embed", cfg.token_count * c[4]))
-    for b in range(cfg.depths[4]):
-        rows.append(Row(f"enc5.block{b}", _vit_block_params(c[4], r)))
-
-    for row in cfg.skips:
-        ch = c[row.stage - 1]
-        rows.append(Row(row.name, 2 * (ch * ch * 9 + 2 * ch)))
-
-    for i, (cin, cskip, cout) in enumerate(cfg.decoder, start=1):
-        rows.append(Row(f"dec{i}(+bn)", (cin + cskip) * cout * 9 + 2 * cout))
-    rows.append(Row("head", cfg.decoder[-1][2] * cfg.num_classes + cfg.num_classes))
-    return rows
-
-
-def analytic_param_count(cfg: ModelConfig):
-    return sum(r.params for r in analytic_param_rows(cfg))
-
-
 def count_params(model: MobileUViT):
-    """Per-tensor parameter report; verifies analytic == enumerated exactly."""
+    """Per-tensor parameter report; verifies closed form == enumerated exactly."""
     rows = []
     total_trainable = 0
     total_state = 0
@@ -194,16 +149,16 @@ def count_params(model: MobileUViT):
         n = int(b.size)
         rows.append(Row(name, n, kind="param", trainable=False))
         total_state += n
-    analytic = analytic_param_count(model.cfg)
-    if analytic != total_trainable:
-        raise VerificationError(
-            f"parameter accounting mismatch: analytic {analytic} != enumerated {total_trainable}")
+    closed_form = count_flops(model.cfg).total_params
+    if closed_form != total_trainable:
+        raise VerificationError(f"parameter accounting mismatch: closed form {closed_form} "
+                                f"!= enumerated {total_trainable}")
     return CostReport(rows=rows, input_size=model.cfg.input_size,
                       total_params=total_trainable, total_state=total_state)
 
 
 # ---------------------------------------------------------------------------
-# analytic MAC walk (mirrors the forward pass shape-by-shape)
+# the closed-form walk (mirrors the forward pass shape-by-shape)
 
 
 def _norm_rows(rows, name, hw, d):
@@ -233,16 +188,20 @@ def _convutr_block_rows(rows, name, h, w, d, k):
 
 
 def _down_rows(rows, name, h, w, d, mode):
+    """Appends the downsample's row; returns its trainable parameters."""
     if mode == "conv":
         rows.append(Row(f"{name}", macs=(h // 2) * (w // 2) * d * 4, kind="conv"))
-    else:
-        rows.append(Row(f"{name}", macs=h * w * d, kind="term"))
+        return d * 4
+    rows.append(Row(f"{name}", macs=h * w * d, kind="term"))
+    return 0
 
 
 def count_flops(cfg: ModelConfig, input_size=None):
-    """Analytic per-layer MAC counts for a single image (N=1).
+    """Analytic per-layer MAC counts for a single image (N=1), and the
+    closed-form trainable parameter total of the same walk.
 
-    input_size, if given, replaces the config's, and ModelConfig validates it.
+    The rows carry MACs only; the parameters go to total_params. input_size,
+    if given, replaces the config's, and ModelConfig validates it.
     """
     if input_size is not None:
         cfg = replace(cfg, input_size=input_size)
@@ -251,6 +210,7 @@ def count_flops(cfg: ModelConfig, input_size=None):
     k = cfg.convutr_kernels
     r = FFN_RATIO
     rows = []
+    params = 0
 
     # encoder stages 1-3
     h = s
@@ -260,16 +220,19 @@ def count_flops(cfg: ModelConfig, input_size=None):
         pk = 3 if i == 0 else 1
         rows.append(Row(f"{name}.proj", macs=conv_macs(h, h, cin, cout, pk), kind="conv"))
         _norm_rows(rows, f"{name}.proj_bn_relu", h * h * 2, cout)
+        params += cout * cin * pk * pk + 2 * cout
         for b in range(cfg.depths[i]):
             _convutr_block_rows(rows, f"{name}.block{b}", h, h, cout, k[i])
-        _down_rows(rows, f"{name}.down", h, h, cout, cfg.downsample_mode)
+            params += _convutr_block_params(cout, k[i])
+        params += _down_rows(rows, f"{name}.down", h, h, cout, cfg.downsample_mode)
         h //= 2
 
     # stage 4: LKLGL at s/16
-    _down_rows(rows, "down4", h, h, c[2], cfg.downsample_mode)
+    params += _down_rows(rows, "down4", h, h, c[2], cfg.downsample_mode)
     h //= 2
     rows.append(Row("proj4", macs=conv_macs(h, h, c[2], c[3], 1), kind="conv"))
     _norm_rows(rows, "proj4_bn_relu", h * h * 2, c[3])
+    params += c[3] * c[2] + 2 * c[3]
     d = c[3]
     heads = d // HEAD_DIM
     p = POOL_RATIO
@@ -291,21 +254,24 @@ def count_flops(cfg: ModelConfig, input_size=None):
                         macs=t_pool * p * p * d * d, kind="transconv"))
         _norm_rows(rows, f"{name}.norm4", hw, d)
         _ffn_rows(rows, f"{name}.ffn2", hw, d, r)
+        params += _lklgl_block_params(d, r, LKLGL_KERNEL, p)
 
     # stage 5: transformer bottleneck at s/32
-    _down_rows(rows, "down5", h, h, c[3], cfg.downsample_mode)
+    params += _down_rows(rows, "down5", h, h, c[3], cfg.downsample_mode)
     h //= 2
     rows.append(Row("proj5", macs=conv_macs(h, h, c[3], c[4], 1), kind="conv"))
     _norm_rows(rows, "proj5_bn_relu", h * h * 2, c[4])
     d = c[4]
     heads = d // HEAD_DIM
     tokens = h * h
+    params += c[4] * c[3] + 2 * c[4] + tokens * d      # proj5(+bn), pos_embed
     for b in range(cfg.depths[4]):
         name = f"enc5.block{b}"
         _norm_rows(rows, f"{name}.norm1", tokens, d)
         _attention_rows(rows, f"{name}.attn", tokens, d, heads)
         _norm_rows(rows, f"{name}.norm2", tokens, d)
         _ffn_rows(rows, f"{name}.ffn", tokens, d, r)
+        params += _vit_block_params(d, r)
 
     # skip adapters, each convolving at the resolution of the decoder block it feeds
     for row in cfg.skips:
@@ -316,6 +282,7 @@ def count_flops(cfg: ModelConfig, input_size=None):
         _norm_rows(rows, f"{nm}.relu_bn1", hr * hr * 2, ch)
         rows.append(Row(f"{nm}.conv2", macs=conv_macs(hr, hr, ch, ch, 3), kind="conv"))
         _norm_rows(rows, f"{nm}.relu_bn2", hr * hr * 2, ch)
+        params += 2 * (ch * ch * 9 + 2 * ch)
 
     # decoder
     h = s // 32
@@ -325,8 +292,10 @@ def count_flops(cfg: ModelConfig, input_size=None):
         rows.append(Row(f"{name}.upsample", macs=h * h * cin, kind="term"))
         rows.append(Row(f"{name}.conv", macs=conv_macs(h, h, cin + cskip, cout, 3), kind="conv"))
         _norm_rows(rows, f"{name}.bn_relu", h * h * 2, cout)
-    rows.append(Row("head", macs=conv_macs(s, s, cfg.decoder[-1][2], cfg.num_classes, 1),
-                    kind="conv"))
+        params += (cin + cskip) * cout * 9 + 2 * cout
+    c_out, n_cls = cfg.decoder[-1][2], cfg.num_classes
+    rows.append(Row("head", macs=conv_macs(s, s, c_out, n_cls, 1), kind="conv"))
+    params += c_out * n_cls + n_cls
 
     total = sum(row.macs for row in rows)
-    return CostReport(rows=rows, input_size=s, total_macs=total)
+    return CostReport(rows=rows, input_size=s, total_params=params, total_macs=total)

@@ -71,7 +71,8 @@ class Downsample(Module):
 
     def __init__(self, c, mode):
         super().__init__()
-        if mode not in ("maxpool", "conv"):
+        from .model import DOWNSAMPLE_MODES  # model imports this module
+        if mode not in DOWNSAMPLE_MODES:
             raise ConfigError(f"unknown downsample mode '{mode}'")
         self.mode = mode
         if mode == "conv":

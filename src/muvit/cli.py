@@ -18,58 +18,61 @@ from .data import (config_doc_loads, doc_from_model_config, load_checkpoint,
                    load_dataset, load_model_state, model_config_from_doc,
                    save_checkpoint, save_dataset, synth_dataset)
 from .metrics import PROB_THRESHOLD, evaluate
-from .model import SKIPS, VARIANTS, ModelConfig, build_model
+from .model import DOWNSAMPLE_MODES, SKIPS, VARIANTS, ModelConfig, build_model
 from .tensor import Tensor
-from .training import train_loop
+from .training import TrainingDiverged, train_loop
 from .verify import THRESHOLD, run_suite
 
 
-def _int_list(count, what):
-    """argparse type: exactly `count` comma-separated integers."""
+def _int_list(count, what, low=None):
+    """argparse type: exactly `count` comma-separated integers, none below
+    `low` if it is given."""
     def parse(text):
         try:
             parts = tuple(int(p) for p in text.split(","))
         except ValueError:
             parts = ()
-        if len(parts) != count:
+        if len(parts) != count or (low is not None and min(parts) < low):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return parts
     return parse
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low, what):
+    """argparse type: one integer of at least `low`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _add_model_flags(p):
-    p.add_argument("--variant", choices=tuple(VARIANTS), default="base")
-    p.add_argument("--size", type=int, default=256, help="input size (divisible by 32)")
-    p.add_argument("--classes", type=int, default=1)
-    p.add_argument("--skip-mode", choices=tuple(SKIPS), default="skip3")
-    p.add_argument("--downsample-mode", choices=("maxpool", "conv"), default="maxpool")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default=ModelConfig.variant)
+    p.add_argument("--size", type=int, default=ModelConfig.input_size,
+                   help="input size (divisible by 32)")
+    p.add_argument("--classes", type=int, default=ModelConfig.num_classes)
+    p.add_argument("--skip-mode", choices=tuple(SKIPS), default=ModelConfig.skip_mode)
+    p.add_argument("--downsample-mode", choices=DOWNSAMPLE_MODES,
+                   default=ModelConfig.downsample_mode)
     p.add_argument("--kernels", type=_int_list(3, "three comma-separated kernel sizes"),
-                   default=None, help="ConvUtr kernel ladder, e.g. 3,3,7")
+                   default=ModelConfig.convutr_kernels, help="ConvUtr kernel ladder, e.g. 3,3,7")
     p.add_argument("--literal-eq2", action="store_true",
                    help="attention before pooling in the local-global blocks")
 
 
 def _config_from_flags(args):
-    overrides = {
-        "input_size": args.size,
-        "num_classes": args.classes,
-        "skip_mode": args.skip_mode,
-        "downsample_mode": args.downsample_mode,
-        "literal_eq2": args.literal_eq2,
-    }
-    if args.kernels:
-        overrides["convutr_kernels"] = args.kernels
-    return ModelConfig.for_variant(args.variant, **overrides)
+    return ModelConfig(variant=args.variant, input_size=args.size, num_classes=args.classes,
+                       skip_mode=args.skip_mode, downsample_mode=args.downsample_mode,
+                       convutr_kernels=args.kernels, literal_eq2=args.literal_eq2)
 
 
 def cmd_build(args):
@@ -219,7 +222,7 @@ def make_parser():
 
     p = sub.add_parser("build", help="instantiate and save an untrained model")
     _add_model_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build)
 
@@ -227,8 +230,8 @@ def make_parser():
     p.add_argument("--config", required=True, help="config document file")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="dataset dir with images/ and masks/")
-    src.add_argument("--synth", type=_int_list(2, "SEED,N"), metavar="SEED,N",
-                     help="generate a synthetic dataset")
+    src.add_argument("--synth", type=_int_list(2, "non-negative integers SEED,N", low=0),
+                     metavar="SEED,N", help="generate a synthetic dataset")
     p.add_argument("--val-data", help="separate validation dataset dir")
     p.add_argument("--difficulty", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -255,13 +258,13 @@ def make_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--scope", choices=("ops", "blocks", "model"), default="ops")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--threshold", type=float, default=THRESHOLD)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic PNM dataset")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--difficulty", type=float, default=0.0)
     p.add_argument("--out", required=True)
@@ -274,7 +277,8 @@ def run_cli(argv):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (T.ConfigError, T.UsageError, FileNotFoundError, ValueError) as e:
+    except (T.ConfigError, T.UsageError, T.VerificationError, TrainingDiverged,
+            FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
-"""Samples, synthetic dataset generation, PNM image files, checkpoints.
+"""Samples, synthetic dataset generation, PNM image files, the config
+document, checkpoints.
 
 Everything here is bit-exact: PNM round-trips reproduce bytes, checkpoints
 reproduce tensors, and dataset generation is a pure function of
-(seed, index).
+(seed, index). The config document's model keys are ModelConfig's fields,
+with ModelConfig's defaults; each value has the type of its default.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .model import ModelConfig
 from .tensor import ConfigError
 
 CHECKPOINT_MAGIC = b"MUVT"
@@ -245,52 +248,58 @@ def synth_dataset(seed, n, size, difficulty=0.0):
 CONFIG_KEYS = ("variant", "input_size", "num_classes", "skip_mode", "downsample_mode",
                "seed", "schedule", "lr0", "epochs", "batch", "kernels", "literal_eq2")
 
-_CONFIG_DEFAULTS = {
-    "variant": "base", "input_size": 256, "num_classes": 1, "skip_mode": "skip3",
-    "downsample_mode": "maxpool", "seed": 0, "schedule": "poly", "lr0": 0.01,
-    "epochs": 300, "batch": 8, "kernels": (3, 3, 7), "literal_eq2": False,
+# Five keys configure training. The others name ModelConfig fields, which
+# hold their defaults; only `kernels` is spelled differently.
+_TRAINING_DEFAULTS = {"seed": 0, "schedule": "poly", "lr0": 0.01, "epochs": 300, "batch": 8}
+_MODEL_FIELDS = {key: "convutr_kernels" if key == "kernels" else key
+                 for key in CONFIG_KEYS if key not in _TRAINING_DEFAULTS}
+_DEFAULTS = {**_TRAINING_DEFAULTS,
+             **{key: getattr(ModelConfig, field) for key, field in _MODEL_FIELDS.items()}}
+
+
+def _parse_bool(text):
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == "true"
+
+
+# A value has the type of its key's default: (text form, parse) per type.
+_FORMS = {
+    bool: (lambda v: "true" if v else "false", _parse_bool),
+    tuple: (lambda v: ",".join(str(int(x)) for x in v),
+            lambda text: tuple(int(x) for x in text.split(","))),
+    float: (lambda v: repr(float(v)), float),
+    int: (str, int),
+    str: (str, str),
 }
 
-_INT_KEYS = {"input_size", "num_classes", "seed", "epochs", "batch"}
+# Accepted ranges of the training values; ModelConfig checks the model's.
+_RANGES = {
+    "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "epochs": (lambda v: v >= 1, "a positive integer"),
+    "batch": (lambda v: v >= 1, "a positive integer"),
+    "lr0": (lambda v: math.isfinite(v) and v > 0, "a finite number above 0"),
+}
 
 
 def config_doc_dumps(doc):
-    """Canonical text form: one `key = value` line per fixed key."""
+    """Canonical text form: one `key = value` line per fixed key; values out
+    of range are rejected."""
     unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(doc)
-    lines = []
-    for key in CONFIG_KEYS:
-        v = merged[key]
-        if key == "kernels":
-            v = ",".join(str(int(x)) for x in v)
-        elif key == "literal_eq2":
-            v = "true" if v else "false"
-        elif key == "lr0":
-            v = repr(float(v))
-        lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def _config_value(key, value):
-    """Typed value of one config line; ValueError when it does not parse."""
-    if key in _INT_KEYS:
-        return int(value)
-    if key == "lr0":
-        return float(value)
-    if key == "kernels":
-        return tuple(int(x) for x in value.split(","))
-    if key == "literal_eq2":
-        if value not in ("true", "false"):
-            raise ValueError(f"literal_eq2 must be true/false, got {value!r}")
-        return value == "true"
-    return value
+    merged = {**_DEFAULTS, **doc}
+    # what is written must load again
+    for key, (in_range, expected) in _RANGES.items():
+        if not in_range(merged[key]):
+            raise ConfigError(f"config key '{key}' must be {expected}, got {merged[key]!r}")
+    return "".join(f"{key} = {_FORMS[type(_DEFAULTS[key])][0](merged[key])}\n"
+                   for key in CONFIG_KEYS)
 
 
 def config_doc_loads(text):
-    """Strict parse of the config document; unknown keys are rejected."""
+    """Strict parse of the config document; unknown keys and values out of
+    range are rejected."""
     doc = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -305,10 +314,13 @@ def config_doc_loads(text):
         if key in doc:
             raise ConfigError(f"duplicate config key '{key}' (line {lineno})")
         try:
-            doc[key] = _config_value(key, value)
+            doc[key] = _FORMS[type(_DEFAULTS[key])][1](value)
         except ValueError:
             raise ConfigError(f"config key '{key}' has a malformed value {value!r} "
                               f"(line {lineno})") from None
+        if key in _RANGES and not _RANGES[key][0](doc[key]):
+            raise ConfigError(f"config key '{key}' must be {_RANGES[key][1]}, got {value!r} "
+                              f"(line {lineno})")
     missing = set(CONFIG_KEYS) - set(doc)
     if missing:
         raise ConfigError(f"config document missing keys: {sorted(missing)}")
@@ -316,22 +328,17 @@ def config_doc_loads(text):
 
 
 def model_config_from_doc(doc):
-    from .model import ModelConfig
-    return ModelConfig.for_variant(
-        doc["variant"],
-        input_size=doc["input_size"], num_classes=doc["num_classes"],
-        skip_mode=doc["skip_mode"], downsample_mode=doc["downsample_mode"],
-        convutr_kernels=tuple(doc["kernels"]), literal_eq2=doc["literal_eq2"])
+    return ModelConfig(**{field: doc[key] for key, field in _MODEL_FIELDS.items()})
 
 
-def doc_from_model_config(cfg, seed=0, schedule="poly", lr0=0.01, epochs=300, batch=8):
-    return {
-        "variant": cfg.variant, "input_size": cfg.input_size,
-        "num_classes": cfg.num_classes, "skip_mode": cfg.skip_mode,
-        "downsample_mode": cfg.downsample_mode, "seed": seed, "schedule": schedule,
-        "lr0": lr0, "epochs": epochs, "batch": batch,
-        "kernels": cfg.convutr_kernels, "literal_eq2": cfg.literal_eq2,
-    }
+def doc_from_model_config(cfg, **training):
+    """cfg's document; training values that are not given take their defaults."""
+    unknown = set(training) - set(_TRAINING_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown training keys: {sorted(unknown)}")
+    values = {**_TRAINING_DEFAULTS, **training,
+              **{key: getattr(cfg, field) for key, field in _MODEL_FIELDS.items()}}
+    return {key: values[key] for key in CONFIG_KEYS}
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ SKIPS = {
               Skip("adapt3", 3, 0, True)),
 }
 
+# 2x2 max-pool, or the learnable stride-2 2x2 depthwise conv (blocks.Downsample).
+DOWNSAMPLE_MODES = ("maxpool", "conv")
+
 
 # Shared by both variants. The LKLGL transposed conv redistributes each pooled
 # token over a POOL_RATIO x POOL_RATIO patch, so its kernel is POOL_RATIO.
@@ -78,11 +81,11 @@ class ModelConfig:
             raise ConfigError(f"input_size {self.input_size} is not a positive multiple of 32")
         if self.skip_mode not in SKIPS:
             raise ConfigError(f"unknown skip mode '{self.skip_mode}'")
-        if self.downsample_mode not in ("maxpool", "conv"):
+        if self.downsample_mode not in DOWNSAMPLE_MODES:
             raise ConfigError(f"unknown downsample mode '{self.downsample_mode}'")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
-        if self.dtype not in ("f32", "f64"):
+        if self.dtype not in T.DTYPES:
             raise ConfigError(f"unknown dtype '{self.dtype}'")
 
     @classmethod

@@ -195,6 +195,8 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
     """
     if not train_set:
         raise ConfigError("empty training set")
+    if batch_size < 1 or epochs < 1:
+        raise ConfigError(f"batch size {batch_size} and epochs {epochs} must both be >= 1")
     if batch_size > len(train_set):
         raise ConfigError("batch size larger than the training set")
     steps_per_epoch = math.ceil(len(train_set) / batch_size)

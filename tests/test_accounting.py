@@ -200,4 +200,6 @@ ARCHITECTURE_TOTALS_64 = {
 def test_architecture_totals_at_64(variant, skip_mode):
     cfg = ModelConfig.for_variant(variant, input_size=64, skip_mode=skip_mode)
     params = count_params(build_model(cfg, seed=0)).total_params
-    assert (params, count_flops(cfg).total_macs) == ARCHITECTURE_TOTALS_64[variant, skip_mode]
+    flops = count_flops(cfg)
+    assert (params, flops.total_macs) == ARCHITECTURE_TOTALS_64[variant, skip_mode]
+    assert flops.total_params == params

@@ -1,14 +1,16 @@
 """CLI surface: flags, outputs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from muvit import tensor as T
-from muvit.cli import _latency_tail, run_cli
+from muvit import accounting, tensor as T
+from muvit.cli import _config_from_flags, _latency_tail, make_parser, run_cli
 from muvit.data import config_doc_dumps
+from muvit.model import ModelConfig
 
 
 def tree_digest(root):
@@ -81,6 +83,27 @@ class TestCountCommand:
                         "--skip-mode", "none", "--downsample-mode", "conv",
                         "--kernels", "3,3,3", "--literal-eq2"]) == 0
 
+    def test_no_model_flags_is_the_default_config(self):
+        cfg = _config_from_flags(make_parser().parse_args(["count"]))
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(ModelConfig())
+
+    def test_both_sections_print_the_closed_form_params(self, capsys):
+        assert run_cli(["count", "--size", "64"]) == 0
+        params, macs = capsys.readouterr().out.split("multiply-accumulates:")
+        assert "total params (trainable): 1419793\n" in params
+        assert "total params (trainable): 1419793\n" in macs
+
+    def test_closed_form_mismatch_is_runtime_error(self, monkeypatch, capsys):
+        real = accounting.count_flops
+
+        def off_by_one(cfg, input_size=None):
+            rep = real(cfg, input_size)
+            return dataclasses.replace(rep, total_params=rep.total_params + 1)
+
+        monkeypatch.setattr(accounting, "count_flops", off_by_one)
+        assert run_cli(["count", "--size", "64"]) == 1
+        assert "error: parameter accounting mismatch" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_train_from_config(self, tmp_path, capsys):
@@ -96,6 +119,15 @@ class TestTrainCommand:
         with open(log) as f:
             lines = [json.loads(line) for line in f]
         assert any("val_iou" in r for r in lines)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way
+    def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 32, "epochs": 2, "batch": 2,
+                                              "lr0": 1e6}))
+        assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
+                        "--out", str(tmp_path / "t.ckpt")]) == 1
+        assert "error: non-finite loss at step" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:
@@ -163,6 +195,26 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --synth" in err and "SEED,N" in err
+
+    @pytest.mark.parametrize("argv,flag,expected", [
+        (["synth", "--seed", "-1", "--n", "1", "--size", "32", "--out", "x"], "--seed",
+         "non-negative integer"),
+        (["synth", "--seed", "1", "--n", "-2", "--size", "32", "--out", "x"], "--n",
+         "positive integer"),
+        (["synth", "--seed", "1", "--n", "0", "--size", "32", "--out", "x"], "--n",
+         "positive integer"),
+        (["build", "--seed", "-1", "--out", "x"], "--seed", "non-negative integer"),
+        (["gradcheck", "--seed", "-1"], "--seed", "non-negative integer"),
+        (["train", "--config", "c", "--synth=-1,5", "--out", "x"], "--synth",
+         "non-negative integers SEED,N"),
+    ])
+    def test_negative_seeds_and_counts_exit_2_naming_the_flag(self, capsys, argv, flag,
+                                                              expected):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and expected in err
 
     def test_bad_size_is_runtime_error(self, capsys):
         assert run_cli(["count", "--variant", "base", "--size", "100"]) == 1

@@ -1,12 +1,13 @@
 """PNM files, synthetic data generation, checkpoints, config documents."""
 
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from muvit.data import (ParseError, Sample, config_doc_dumps,
+from muvit.data import (CONFIG_KEYS, ParseError, Sample, config_doc_dumps,
                         config_doc_loads, doc_from_model_config, load_checkpoint,
                         load_dataset, load_model_state, load_pnm,
                         model_config_from_doc, read_image, read_mask,
@@ -176,6 +177,41 @@ class TestConfigDoc:
         with pytest.raises(ConfigError, match=rf"'{key}'.*\(line {lineno}\)"):
             config_doc_loads("\n".join(lines))
 
+    @pytest.mark.parametrize("key,value,expected", [
+        ("seed", "-1", "non-negative"), ("epochs", "0", "positive"),
+        ("epochs", "-1", "positive"), ("batch", "0", "positive"),
+        ("lr0", "nan", "finite"), ("lr0", "inf", "finite"), ("lr0", "0.0", "above 0"),
+        ("lr0", "-0.01", "above 0"),
+    ])
+    def test_out_of_range_value_rejected_with_key_and_line(self, key, value, expected):
+        lines = config_doc_dumps({}).splitlines()
+        lineno = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(key + " "))
+        lines[lineno - 1] = f"{key} = {value}"
+        with pytest.raises(ConfigError, match=rf"'{key}' must be .*{expected}.*\(line {lineno}\)"):
+            config_doc_loads("\n".join(lines))
+
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("batch", 0), ("lr0", float("nan"))])
+    def test_out_of_range_value_not_written(self, tmp_path, key, value):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match=f"'{key}' must be"):
+            save_checkpoint(str(path), {key: value}, {"a": np.zeros(2, dtype=np.float32)})
+        assert not path.exists()
+
+    def test_default_document_text(self):
+        # the defaults of the model keys are ModelConfig's; these bytes are
+        # part of every checkpoint
+        assert config_doc_dumps({}) == (
+            "variant = base\ninput_size = 256\nnum_classes = 1\nskip_mode = skip3\n"
+            "downsample_mode = maxpool\nseed = 0\nschedule = poly\nlr0 = 0.01\n"
+            "epochs = 300\nbatch = 8\nkernels = 3,3,7\nliteral_eq2 = false\n")
+
+    def test_doc_from_model_config_fills_and_rejects_training_keys(self):
+        doc = doc_from_model_config(ModelConfig(), lr0=0.5)
+        assert list(doc) == list(CONFIG_KEYS)
+        assert (doc["lr0"], doc["epochs"], doc["seed"]) == (0.5, 300, 0)
+        with pytest.raises(ConfigError, match="unknown training keys"):
+            doc_from_model_config(ModelConfig(), kernels=(3, 3, 3))
+
     def test_every_config_field_survives_the_document(self):
         cfg = ModelConfig(variant="large", convutr_kernels=(5, 3, 9), num_classes=3,
                           input_size=128, skip_mode="horizontal", downsample_mode="conv",
@@ -220,6 +256,15 @@ class TestCheckpoint:
         load_model_state(model2, tensors)
         for (n1, p1), (n2, p2) in zip(model.named_parameters(), model2.named_parameters()):
             assert p1.data.tobytes() == p2.data.tobytes(), n1
+
+    def test_seed0_base64_checkpoint_bytes(self, tmp_path):
+        # initialization draws from seeded streams only, so these bytes hold
+        # at any BLAS thread count
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), self._doc(cfg), build_model(cfg, seed=0).named_state())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "38e44fe496daefcaf10ed6751e0ed01a3503dceca523810a450fde2506f0d7ee"
 
     def test_tensor_count_matches_param_report_rows(self, tmp_path):
         cfg = ModelConfig.for_variant("base", input_size=64)

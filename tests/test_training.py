@@ -292,6 +292,13 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train_loop(model, [], [], epochs=1, batch_size=1, seed=0)
 
+    @pytest.mark.parametrize("epochs,batch_size", [(1, 0), (1, -1), (0, 2), (-1, 2)])
+    def test_nonpositive_epochs_or_batch_rejected(self, epochs, batch_size):
+        train = synth_dataset(seed=1, n=2, size=32)
+        model = build_model(ModelConfig.for_variant("base", input_size=32), seed=0)
+        with pytest.raises(ConfigError, match="must both be >= 1"):
+            train_loop(model, train, [], epochs=epochs, batch_size=batch_size, seed=0)
+
     def test_loss_decreases_during_overfit(self):
         # single-sample run: the loss should fall in at least 18 of the
         # first 20 steps (allowing BN transients)
