@@ -273,8 +273,15 @@ _FORMS = {
     str: (str, str),
 }
 
+
+def _schedules():
+    from .training import SCHEDULES  # training imports this module
+    return SCHEDULES
+
+
 # Accepted ranges of the training values; ModelConfig checks the model's.
 _RANGES = {
+    "schedule": (lambda v: v in _schedules(), "a name in training.SCHEDULES"),
     "seed": (lambda v: v >= 0, "a non-negative integer"),
     "epochs": (lambda v: v >= 1, "a positive integer"),
     "batch": (lambda v: v >= 1, "a positive integer"),

@@ -227,12 +227,13 @@ def first_nonfinite_layer(model, images):
     Re-runs the forward in the model's current mode without recording a tape
     and checks the output of each stage in turn; train-mode BatchNorm running
     statistics are restored afterwards, so the call leaves the model as it
-    found it. Errors other than non-finite values propagate.
+    found it. The re-run raises no floating-point warnings, as non-finite
+    values are what it looks for; other errors propagate.
     """
     taps = {}
     saved = [(b, b.copy()) for _, b in model.named_buffers()]
     try:
-        with T.no_grad():
+        with T.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             model.forward(images, taps=taps)
     finally:
         for buf, value in saved:

@@ -23,24 +23,25 @@ for add, sub, reshape, the sums and means and avg-pool. So
 an activation that no closure reads, such as the GELU output that BatchNorm
 normalizes, is freed as soon as the forward drops it.
 
-Dense convs (groups=1, not pointwise; depthwise is the only other
-grouping) compute on a virtual flat padded grid: the input zero-padded into
-a channel-major [Ci, N*Hp*Wp] array, where each kernel tap (i, j) is one GEMM
-against the grid shifted by i*Wp + j, accumulated into the output; windows
-that wrap into the next row or image land only in the margin that is never
-read. The columns are cut into equal blocks of at most 2^17 / max(Co, Ci),
-so that a block of the input, the output and the per-tap product stay in L2
-cache across the taps; each output still sums its taps in row-major order,
-so the f32 result is bitwise that of one whole-span GEMM per tap. The grid
-is never made: each worker copies its block's window of it, straight from
-the unpadded array, into a block-sized staging buffer, sums the taps in a
-block-sized accumulator and writes the block's valid columns into the
-[N, Co, Ho, Wo] result. The backward pass stages d(out) the same way, dilated
-by the stride and behind (kh-1)*Wp + (kw-1) leading zeros: d(w) takes the
-per-tap GEMMs over the same blocks, with the input window restaged from the
-input array, and d(x) is the same blocked forward run on that grid with the
-flipped, transposed kernel, written into [N, Ci, H, W]. The tape keeps the
-input array, and no padded or im2col copy.
+Dense convs (groups=1, not pointwise; depthwise is the only other grouping)
+run at stride 1 only, as every dense conv of the network does; strided
+downsampling is depthwise. They compute on a virtual flat padded grid: the
+input zero-padded into a channel-major [Ci, N*Hp*Wp] array, where each
+kernel tap (i, j) is one GEMM against the grid shifted by i*Wp + j,
+accumulated into the output; windows that wrap into the next row or image
+land only in the margin that is never read. The columns are cut into equal
+blocks of at most 2^17 / max(Co, Ci), so that a block of the input, the
+output and the per-tap product stay in L2 cache across the taps; each output
+still sums its taps in row-major order, so the f32 result is bitwise that of
+one whole-span GEMM per tap. The grid is never made: each worker copies its
+block's window of it, straight from the unpadded array, into a block-sized
+staging buffer, sums the taps in a block-sized accumulator and writes the
+block's valid columns into the [N, Co, Ho, Wo] result. The backward pass
+stages d(out) the same way, behind (kh-1)*Wp + (kw-1) leading zeros: d(w)
+takes the per-tap GEMMs over the same blocks, with the input window restaged
+from the input array, and d(x) is the same blocked forward run on that grid
+with the flipped, transposed kernel, written into [N, Ci, H, W]. The tape
+keeps the input array, and no padded or im2col copy.
 
 Depthwise convs run as banded GEMMs on width tiles: the input is zero-padded
 once into channel-major tiles [C, Hp, N, nb, b+kw-1], each covering
@@ -82,6 +83,7 @@ unset or unparsable count means BLAS already spreads over every core, and
 then there is one worker and the serial path runs.
 """
 
+import contextvars
 import itertools
 import math
 import os
@@ -395,8 +397,9 @@ def _parallel(fn, items):
     _WORKERS - 1 threads made on first use. fn must run numpy only, never a
     recorded op (the tape, the MAC counter and the serial are not
     thread-safe), and write each item's result into its own slice of an
-    output. Returns once every group has finished; the first error in group
-    order is then raised.
+    output. Each group runs in a copy of the caller's context, so numpy's
+    errstate holds in the pool threads too. Returns once every group has
+    finished; the first error in group order is then raised.
     """
     k = min(_WORKERS, len(items))
     if k <= 1:
@@ -407,7 +410,8 @@ def _parallel(fn, items):
         from concurrent.futures import ThreadPoolExecutor
         _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="muvit")
     cuts = [-(-len(items) * i // k) for i in range(k + 1)]
-    futures = [_POOL.submit(fn, items[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    futures = [_POOL.submit(contextvars.copy_context().run, fn, items[a:b])
+               for a, b in zip(cuts[1:-1], cuts[2:])]
     try:
         fn(items[:cuts[1]])
     finally:
@@ -704,64 +708,52 @@ def _conv_out_size(size, k, stride, pad):
     return num // stride + 1
 
 
-def _on_grid(lo, hi, top, step, size):
-    """Index range [i, j) of the places top, top + step, ..., top + (size-1)*step
-    that fall in [lo, hi)."""
-    return max(0, -(-(lo - top) // step)), min(size, -(-(hi - top) // step))
-
-
 def _stage(src, hp, wp, lo, hi, buf):
-    """Window [lo, hi) of the flat grid of src = (a, top, step) in buf.
+    """Window [lo, hi) of the flat grid of src = (a, top) in buf.
 
     The flat grid of a [N, C, h, w] is the channel-major [C, N*hp*wp] array of
-    zeros holding a[n, c] from row and column `top` on, every `step` rows and
-    columns, of each hp x wp image; positions before 0 are zero too. The
-    window is filled whole rows at a time, one copy per image it touches, in
-    the front of the flat scratch array buf. Returns the [C, hi - lo] view
-    whose column p - lo holds grid position p.
+    zeros holding a[n, c] from row and column `top` on of each hp x wp image;
+    positions before 0 are zero too. The window is filled whole rows at a
+    time, one copy per image it touches, in the front of the flat scratch
+    array buf. Returns the [C, hi - lo] view whose column p - lo holds grid
+    position p.
     """
-    a, top, step = src
+    a, top = src
     n, c, h, w = a.shape
     r0, r1 = lo // wp, -(-hi // wp)
     rows = buf[:c * (r1 - r0) * wp].reshape(c, r1 - r0, wp)
     rows.fill(0)
-    cols = slice(top, top + (w - 1) * step + 1, step)
     for img in range(max(r0, 0) // hp, (r1 - 1) // hp + 1):
-        base = img * hp
-        i, j = _on_grid(r0 - base, r1 - base, top, step, h)
+        s = img * hp + top - r0
+        i, j = max(0, -s), min(h, r1 - r0 - s)
         if i < j:
-            s = base + top + i * step - r0
-            rows[:, s:s + (j - i - 1) * step + 1:step, cols] = a[img, :, i:j]
+            rows[:, s + i:s + j, top:top + w] = a[img, :, i:j]
     return rows.reshape(c, -1)[:, lo - r0 * wp:hi - r0 * wp]
 
 
 def _unstage(acc, q, hp, wp, dst):
     """Inverse of _stage for one column block: acc [C, l] holds flat grid
-    positions [q, q+l); write those on the grid of dst = (out, top, step) into
+    positions [q, q+l); write those on the grid of dst = (out, top) into
     out [N, C, h, w]. A partial row goes one row at a time, whole rows one
     copy per image."""
-    out, top, step = dst
+    out, top = dst
     n, c, h, w = out.shape
-    cols = slice(top, top + (w - 1) * step + 1, step)
     p, end = q, q + acc.shape[1]
     while p < end:
         row, col = divmod(p, wp)
         img, r = divmod(row, hp)
         if col or end - p < wp:
             stop = min(wp, col + end - p)
-            i, j = _on_grid(r, r + 1, top, step, h)
-            u, v = _on_grid(col, stop, top, step, w)
-            if i < j and u < v:
-                s = p - q + top + u * step - col
-                out[img, :, i, u:v] = acc[:, s:s + (v - u - 1) * step + 1:step]
+            u, v = max(col, top), min(stop, top + w)
+            if 0 <= r - top < h and u < v:
+                out[img, :, r - top, u - top:v - top] = acc[:, p - q + u - col:p - q + v - col]
             p += stop - col
         else:
             k = min(hp - r, (end - p) // wp)
-            i, j = _on_grid(r, r + k, top, step, h)
+            i, j = max(r, top), min(r + k, top + h)
             if i < j:
-                s = top + i * step - r
                 rows = acc[:, p - q:p - q + k * wp].reshape(c, k, wp)
-                out[img, :, i:j] = rows[:, s:s + (j - i - 1) * step + 1:step, cols]
+                out[img, :, i - top:j - top] = rows[:, i - r:j - r, top:top + w]
             p += k * wp
 
 
@@ -799,7 +791,7 @@ def _dense_fwd(w, hp, wp, src, dst, lead=0):
 
     With xf the grid of src behind `lead` zero columns,
     out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span,
-    and the positions of out on the grid of dst = (out, top, step) are
+    and the positions of out on the grid of dst = (out, top) are
     written into it; those whose window wraps into the next row or image
     are never read. Each worker stages its block's window of xf and sums the
     block's taps in a block-sized accumulator, so no grid-sized array is
@@ -965,16 +957,16 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """2-d cross-correlation: dense (groups=1) or depthwise (groups=Ci=Co).
 
     x: [N, Ci, H, W]; w: [Co, Ci, kh, kw], or [Ci, 1, kh, kw] for a depthwise
-    conv; any other grouping raises ConfigError. Unstrided, unpadded 1x1
-    kernels give a pointwise conv. Every other dense conv takes the dense path
-    on the virtual flat grid xf = [Ci, N*Hp*Wp] of the zero-padded x: each tap
-    (i, j) adds w[:, :, i, j] @ xf[:, off:off + L] to the output, with
+    conv; any other grouping raises ConfigError, and so does a dense conv
+    with stride != 1. Unpadded 1x1 kernels give a pointwise conv. Every
+    other dense conv takes the dense path on the virtual flat grid
+    xf = [Ci, N*Hp*Wp] of the zero-padded x: each tap (i, j) adds
+    w[:, :, i, j] @ xf[:, off:off + L] to the output, with
     off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1), one column block
     [q, q+l) at a time, each worker staging the block's window of xf from x
     (_stage, _dense_fwd) and writing the positions [:Ho, :Wo] of the block
-    into the result (_unstage; stride s keeps every s-th position of the
-    stride-1 result). The backward pass keeps x and stages d(out), dilated
-    by the stride, on the same grid behind (kh-1)*Wp + (kw-1) zero columns.
+    into the result (_unstage). The backward pass keeps x and stages d(out)
+    on the same grid behind (kh-1)*Wp + (kw-1) zero columns.
     d(w) sums d(out)[:, q:q+l] @ xf[:, q+off:q+off+l].T over taps and blocks
     (_dense_wgrad). d(x) is _dense_fwd of that grid with w flipped in both
     kernel axes and transposed to [Ci, Co], written at the input's place on
@@ -1000,11 +992,13 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
                           "or depthwise (groups = Ci = Co) are supported")
     if cig != ci // groups:
         raise ConfigError(f"conv2d: weight expects {cig} channels/group, input gives {ci // groups}")
+    if groups == 1 and stride != 1:
+        raise ConfigError(f"conv2d: dense convs run at stride 1 only, got stride={stride}")
     if b is not None and b.shape != (co,):
         raise ConfigError(f"conv2d: bias shape {b.shape} != ({co},)")
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(wdt, kw, stride, pad)
-    pointwise = kh == 1 and kw == 1 and stride == 1 and pad == 0 and groups == 1
+    pointwise = kh == 1 and kw == 1 and pad == 0 and groups == 1
     depthwise = groups == ci and co == ci and cig == 1
     need_x, wd = x.requires_grad, w.data
     # each branch's closure captures only what its backward reads: the input
@@ -1028,17 +1022,17 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             return gx, gw
     else:
         hp, wp = h + 2 * pad, wdt + 2 * pad
-        xsrc = (x.data, pad, 1)
+        xsrc = (x.data, pad)
         out = np.empty((n, co, ho, wo), dtype=x.data.dtype)
-        _dense_fwd(wd, hp, wp, xsrc, (out, 0, stride))
+        _dense_fwd(wd, hp, wp, xsrc, (out, 0))
 
         def grads(g):
-            gsrc = (g, 0, stride)
+            gsrc = (g, 0)
             gw = _dense_wgrad(wd, hp, wp, gsrc, xsrc)
             if not need_x:
                 return None, gw
             gx = np.empty((n, ci, h, wdt), dtype=g.dtype)
-            _dense_fwd(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], hp, wp, gsrc, (gx, pad, 1),
+            _dense_fwd(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], hp, wp, gsrc, (gx, pad),
                        lead=(kh - 1) * wp + (kw - 1))
             return gx, gw
     if b is not None:

@@ -20,6 +20,11 @@ from .tensor import ConfigError, Tensor, UsageError
 
 BCE_CLAMP = 1e-7
 DICE_EPS = 1.0
+SCHEDULES = ("poly", "warmup_cosine", "constant")
+# A diverging model overflows on its way to a non-finite loss; the step's
+# forward and the validation pass raise no floating-point warnings, and the
+# next loss check names the first non-finite layer.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class TrainingDiverged(RuntimeError):
@@ -110,6 +115,8 @@ class SGD:
 def lr_schedule(kind, t, total, lr0, warmup=0):
     """poly: lr0*(1 - t/T)^0.9; warmup_cosine: linear 0->lr0 over W then
     half-cosine to 0; constant: lr0."""
+    if kind not in SCHEDULES:
+        raise ConfigError(f"unknown schedule '{kind}'")
     if total <= 0:
         raise ConfigError("lr_schedule needs a positive total step count")
     if not 0 <= t <= total:
@@ -121,9 +128,7 @@ def lr_schedule(kind, t, total, lr0, warmup=0):
             return lr0 * t / warmup
         span = max(total - warmup, 1)
         return 0.5 * lr0 * (1.0 + math.cos(math.pi * (t - warmup) / span))
-    if kind == "constant":
-        return lr0
-    raise ConfigError(f"unknown schedule '{kind}'")
+    return lr0
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +222,9 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                 x, y = _batch_tensors(train_set, idx, seed, epoch, dtype)
                 lr = lr_schedule(schedule, step, total_steps, lr0)
                 with T.record():
-                    logits = model(x)
-                    terms = seg_loss(logits, y)
+                    with np.errstate(**_QUIET):
+                        logits = model(x)
+                        terms = seg_loss(logits, y)
                     total = terms.total.item()
                     if not math.isfinite(total):
                         layer = first_nonfinite_layer(model, x)
@@ -235,7 +241,8 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                     log_file.flush()
                 step += 1
             if val_set:
-                res = evaluate(model, val_set, batch_size=batch_size)
+                with np.errstate(**_QUIET):
+                    res = evaluate(model, val_set, batch_size=batch_size)
                 erec = {"epoch": epoch, "val_iou": res.mean_iou, "val_f1": res.mean_f1}
                 epoch_log.append(erec)
                 if log_file:

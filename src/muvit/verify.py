@@ -2,7 +2,13 @@
 
 Everything runs in f64 with central differences (eps 1e-4) against the
 recorded-tape gradients; the pass threshold is a 1e-5 max relative error.
+An op or block check draws its inputs from a generator seeded with the
+suite's seed, then any extra values the check needs, then a small random
+projection that turns the output into the scalar that gradcheck
+differentiates (_projected). OP_CHECKS and BLOCK_CHECKS list the checks.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -17,207 +23,90 @@ from .training import seg_loss
 THRESHOLD = 1e-5
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
-def _proj(rng, shape):
-    # small projection keeps |f| ~ 0.1 so f64 cancellation noise stays far
-    # below the 1e-8 denominator floor of the relative-error formula
-    r = Tensor(rng.standard_normal(shape) * (0.1 / np.sqrt(np.prod(shape))))
-    return lambda t: T.tsum(T.mul(t, r))
-
-
 def _f64(rng, shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, dtype="f64")
 
 
-def op_checks(seed=0):
-    """(name, closure) pairs; each closure returns the max relative error."""
-    checks = []
+def _affine(rng, c):
+    """A norm's gamma near 1 and beta near 0."""
+    gamma = _f64(rng, (c,), 0.3)
+    gamma.data += 1.0
+    return [gamma, _f64(rng, (c,), 0.2)]
 
-    def check(name):
-        def deco(fn):
-            checks.append((name, fn))
-            return fn
-        return deco
 
-    @check("linear")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (4, 4))
-        w = _f64(rng, (3, 4), 0.5)
-        b = _f64(rng, (3,), 0.1)
-        p = _proj(rng, (4, 3))
-        return gradcheck(lambda x_, w_, b_: p(T.linear(x_, w_, b_)), [x, w, b])
+def _projected(rng, fn, inputs):
+    """gradcheck of fn's output projected onto a random tensor of its shape,
+    drawn from rng after the inputs; one forward of fn gives the shape."""
+    shape = fn(*inputs).shape
+    # small projection keeps |f| ~ 0.1 so f64 cancellation noise stays far
+    # below the 1e-8 denominator floor of the relative-error formula
+    r = Tensor(rng.standard_normal(shape) * (0.1 / np.sqrt(np.prod(shape))))
+    return gradcheck(lambda *ts: T.tsum(T.mul(fn(*ts), r)), inputs)
 
-    @check("conv2d")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (1, 2, 5, 5))
-        w = _f64(rng, (3, 2, 3, 3), 0.5)
-        b = _f64(rng, (3,), 0.1)
-        p = _proj(rng, (1, 3, 5, 5))
-        return gradcheck(lambda x_, w_, b_: p(T.conv2d(x_, w_, b_, stride=1, pad=1)), [x, w, b])
 
-    @check("conv2d_depthwise")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 3, 6, 6))
-        w = _f64(rng, (3, 1, 3, 3), 0.5)
-        p = _proj(rng, (2, 3, 6, 6))
-        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, pad=1, groups=3)), [x, w])
+def _conv(**kw):
+    return lambda *ts: T.conv2d(*ts, **kw)
 
-    @check("conv2d_depthwise_k9")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 3, 4, 4))
-        w = _f64(rng, (3, 1, 9, 9), 0.2)
-        p = _proj(rng, (2, 3, 4, 4))
-        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, pad=4, groups=3)), [x, w])
 
-    @check("conv2d_depthwise_tiles")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 2, 5, 19))
-        w = _f64(rng, (2, 1, 3, 3), 0.5)
-        b = _f64(rng, (2,), 0.1)
-        p = _proj(rng, (2, 2, 5, 19))
-        return gradcheck(lambda x_, w_, b_: p(T.conv2d(x_, w_, b_, pad=1, groups=2)), [x, w, b])
+def _batchnorm_eval(rng):
+    inputs = [_f64(rng, (2, 3, 4, 4))] + _affine(rng, 3)
+    running = (rng.standard_normal(3) * 0.5, 1.0 + rng.random(3))
+    return (lambda x, g, b: T.batchnorm2d(x, g, b, running, training=False)), inputs
 
-    @check("conv2d_strided")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (1, 2, 6, 6))
-        w = _f64(rng, (2, 1, 2, 2), 0.5)
-        p = _proj(rng, (1, 2, 3, 3))
-        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_, stride=2, groups=2)), [x, w])
 
-    @check("conv2d_dense_strided")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 2, 7, 5))
-        w = _f64(rng, (3, 2, 3, 3), 0.5)
-        b = _f64(rng, (3,), 0.1)
-        p = _proj(rng, (2, 3, 4, 3))
-        return gradcheck(lambda x_, w_, b_: p(T.conv2d(x_, w_, b_, stride=2, pad=1)), [x, w, b])
+def _relu(rng):
+    x = _f64(rng, (3, 7))
+    x.data += np.sign(x.data) * 0.05      # keep clear of the kink
+    return T.relu, [x]
 
-    @check("conv2d_dense_valid")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 3, 5, 7))
-        w = _f64(rng, (2, 3, 3, 3), 0.5)
-        p = _proj(rng, (2, 2, 3, 5))
-        return gradcheck(lambda x_, w_: p(T.conv2d(x_, w_)), [x, w])
 
-    @check("conv_transpose2d")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (1, 3, 4, 4))
-        w = _f64(rng, (3, 2, 2, 2), 0.5)
-        b = _f64(rng, (2,), 0.1)
-        p = _proj(rng, (1, 2, 8, 8))
-        return gradcheck(lambda x_, w_, b_: p(T.conv_transpose2d(x_, w_, b_)), [x, w, b])
+# (name, make): make(rng) returns (fn, inputs) for _projected
+OP_CHECKS = [
+    ("linear", lambda rng: (T.linear, [_f64(rng, (4, 4)), _f64(rng, (3, 4), 0.5),
+                                       _f64(rng, (3,), 0.1)])),
+    ("conv2d", lambda rng: (_conv(pad=1), [_f64(rng, (1, 2, 5, 5)), _f64(rng, (3, 2, 3, 3), 0.5),
+                                           _f64(rng, (3,), 0.1)])),
+    ("conv2d_depthwise", lambda rng: (_conv(pad=1, groups=3),
+                                      [_f64(rng, (2, 3, 6, 6)), _f64(rng, (3, 1, 3, 3), 0.5)])),
+    ("conv2d_depthwise_k9", lambda rng: (_conv(pad=4, groups=3),
+                                         [_f64(rng, (2, 3, 4, 4)), _f64(rng, (3, 1, 9, 9), 0.2)])),
+    ("conv2d_depthwise_tiles", lambda rng: (_conv(pad=1, groups=2),
+                                            [_f64(rng, (2, 2, 5, 19)), _f64(rng, (2, 1, 3, 3), 0.5),
+                                             _f64(rng, (2,), 0.1)])),
+    ("conv2d_strided", lambda rng: (_conv(stride=2, groups=2),
+                                    [_f64(rng, (1, 2, 6, 6)), _f64(rng, (2, 1, 2, 2), 0.5)])),
+    ("conv2d_dense_valid", lambda rng: (_conv(), [_f64(rng, (2, 3, 5, 7)),
+                                                  _f64(rng, (2, 3, 3, 3), 0.5)])),
+    ("conv_transpose2d", lambda rng: (T.conv_transpose2d,
+                                      [_f64(rng, (1, 3, 4, 4)), _f64(rng, (3, 2, 2, 2), 0.5),
+                                       _f64(rng, (2,), 0.1)])),
+    ("maxpool", lambda rng: (lambda x: T.pool2d(x, "max", 2), [_f64(rng, (2, 2, 4, 4))])),
+    ("avgpool", lambda rng: (lambda x: T.pool2d(x, "avg", 2), [_f64(rng, (2, 2, 4, 4))])),
+    ("bilinear_upsample", lambda rng: (T.bilinear_upsample, [_f64(rng, (1, 2, 3, 3))])),
+    ("batchnorm2d_train", lambda rng: (lambda x, g, b: T.batchnorm2d(x, g, b, None, training=True),
+                                       [_f64(rng, (2, 3, 4, 4))] + _affine(rng, 3))),
+    ("batchnorm2d_eval", _batchnorm_eval),
+    ("layernorm", lambda rng: (T.layernorm, [_f64(rng, (2, 4, 6))] + _affine(rng, 6))),
+    ("gelu", lambda rng: (T.gelu, [_f64(rng, (3, 7))])),
+    ("sigmoid", lambda rng: (T.sigmoid, [_f64(rng, (3, 7))])),
+    ("relu", _relu),
+    ("softmax", lambda rng: (T.softmax, [_f64(rng, (2, 5, 6))])),
+    ("mhsa", lambda rng: (lambda x, *ws: T.mhsa(x, 2, *ws),
+                          [_f64(rng, (1, 4, 8))] + [_f64(rng, (8, 8), 0.3) for _ in range(4)])),
+    ("concat", lambda rng: (lambda a, b: T.concat([a, b], axis=1),
+                            [_f64(rng, (2, 2, 3, 3)), _f64(rng, (2, 3, 3, 3))])),
+]
 
-    @check("maxpool")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 2, 4, 4))
-        p = _proj(rng, (2, 2, 2, 2))
-        return gradcheck(lambda x_: p(T.pool2d(x_, "max", 2)), [x])
-
-    @check("avgpool")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 2, 4, 4))
-        p = _proj(rng, (2, 2, 2, 2))
-        return gradcheck(lambda x_: p(T.pool2d(x_, "avg", 2)), [x])
-
-    @check("bilinear_upsample")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (1, 2, 3, 3))
-        p = _proj(rng, (1, 2, 6, 6))
-        return gradcheck(lambda x_: p(T.bilinear_upsample(x_, 2)), [x])
-
-    @check("batchnorm2d_train")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 3, 4, 4))
-        g = _f64(rng, (3,), 0.3)
-        g.data += 1.0
-        b = _f64(rng, (3,), 0.2)
-        p = _proj(rng, (2, 3, 4, 4))
-        return gradcheck(lambda x_, g_, b_: p(T.batchnorm2d(x_, g_, b_, None, training=True)),
-                         [x, g, b])
-
-    @check("batchnorm2d_eval")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 3, 4, 4))
-        g = _f64(rng, (3,), 0.3)
-        g.data += 1.0
-        b = _f64(rng, (3,), 0.2)
-        running = (rng.standard_normal(3) * 0.5, 1.0 + rng.random(3))
-        p = _proj(rng, (2, 3, 4, 4))
-        return gradcheck(lambda x_, g_, b_: p(T.batchnorm2d(x_, g_, b_, running, training=False)),
-                         [x, g, b])
-
-    @check("layernorm")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 4, 6))
-        g = _f64(rng, (6,), 0.3)
-        g.data += 1.0
-        b = _f64(rng, (6,), 0.2)
-        p = _proj(rng, (2, 4, 6))
-        return gradcheck(lambda x_, g_, b_: p(T.layernorm(x_, g_, b_)), [x, g, b])
-
-    @check("gelu")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (3, 7))
-        p = _proj(rng, (3, 7))
-        return gradcheck(lambda x_: p(T.gelu(x_)), [x])
-
-    @check("sigmoid")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (3, 7))
-        p = _proj(rng, (3, 7))
-        return gradcheck(lambda x_: p(T.sigmoid(x_)), [x])
-
-    @check("relu")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (3, 7))
-        x.data += np.sign(x.data) * 0.05      # keep clear of the kink
-        p = _proj(rng, (3, 7))
-        return gradcheck(lambda x_: p(T.relu(x_)), [x])
-
-    @check("softmax")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (2, 5, 6))
-        p = _proj(rng, (2, 5, 6))
-        return gradcheck(lambda x_: p(T.softmax(x_)), [x])
-
-    @check("mhsa")
-    def _(seed=seed):
-        rng = _rng(seed)
-        x = _f64(rng, (1, 4, 8))
-        ws = [_f64(rng, (8, 8), 0.3) for _ in range(4)]
-        p = _proj(rng, (1, 4, 8))
-        return gradcheck(lambda x_, a, b, c, d: p(T.mhsa(x_, 2, a, b, c, d)), [x] + ws)
-
-    @check("seg_loss")
-    def _(seed=seed):
-        rng = _rng(seed)
-        logits = _f64(rng, (1, 1, 6, 6), 1.5)
-        target = Tensor((rng.random((1, 1, 6, 6)) > 0.5).astype(np.float64))
-        return gradcheck(lambda l: seg_loss(l, target).total, [logits])
-
-    return checks
+# (name, constructor, input shape); each block is checked in f64, train mode
+BLOCK_CHECKS = [
+    ("conv_utr_block", partial(ConvUtrBlock, 4, 3), (2, 4, 6, 6)),
+    ("lklgl_block", partial(LKLGLBlock, 8, 2, kernel=9, pool_ratio=2, ffn_ratio=2), (1, 8, 4, 4)),
+    ("lklgl_block_literal", partial(LKLGLBlock, 8, 2, kernel=3, pool_ratio=2, ffn_ratio=2,
+                                    literal_order=True), (1, 8, 4, 4)),
+    ("vit_block", partial(TransformerBlock, 8, 2, ffn_ratio=2), (1, 4, 8)),
+    ("skip_adapter", partial(SkipAdapter, 3, 4, pool=True), (1, 3, 6, 6)),
+    ("decoder_block", partial(DecoderBlock, 4, 0, 3), (1, 4, 3, 3)),
+]
 
 
 def _decalibrate(module):
@@ -232,45 +121,28 @@ def _decalibrate(module):
             par.data += 0.05
 
 
-def _block_check(make_block, in_shape, seed):
+def _op_check(make, seed):
+    rng = np.random.default_rng(seed)
+    return _projected(rng, *make(rng))
+
+
+def _block_check(make, in_shape, seed):
     """Gradcheck an initialized block w.r.t. its input and every parameter."""
-    rng = _rng(seed)
-    block = make_block()
+    rng = np.random.default_rng(seed)
+    block = make().astype("f64")
     initialize(block, seed)
     _decalibrate(block)
     block.train()
     x = _f64(rng, in_shape)
-    out_shape = block(x).shape
-    p = _proj(rng, out_shape)
     params = [t for _, t in block.named_parameters()]
-
-    def fn(*_tensors):
-        return p(block(x))
-
-    return gradcheck(fn, [x] + params)
+    return _projected(rng, lambda *_: block(x), [x] + params)
 
 
-def block_checks(seed=0):
-    checks = [
-        ("conv_utr_block",
-         lambda: _block_check(lambda: ConvUtrBlock(4, 3).astype("f64"), (2, 4, 6, 6), seed)),
-        ("lklgl_block",
-         lambda: _block_check(lambda: LKLGLBlock(8, 2, kernel=9, pool_ratio=2,
-                                                 ffn_ratio=2).astype("f64"), (1, 8, 4, 4), seed)),
-        ("lklgl_block_literal",
-         lambda: _block_check(lambda: LKLGLBlock(8, 2, kernel=3, pool_ratio=2, ffn_ratio=2,
-                                                 literal_order=True).astype("f64"),
-                              (1, 8, 4, 4), seed)),
-        ("vit_block",
-         lambda: _block_check(lambda: TransformerBlock(8, 2, ffn_ratio=2).astype("f64"),
-                              (1, 4, 8), seed)),
-        ("skip_adapter",
-         lambda: _block_check(lambda: SkipAdapter(3, 4, pool=True).astype("f64"),
-                              (1, 3, 6, 6), seed)),
-        ("decoder_block",
-         lambda: _block_check(lambda: DecoderBlock(4, 0, 3).astype("f64"), (1, 4, 3, 3), seed)),
-    ]
-    return checks
+def _seg_loss_check(seed):
+    rng = np.random.default_rng(seed)
+    logits = _f64(rng, (1, 1, 6, 6), 1.5)
+    target = Tensor((rng.random((1, 1, 6, 6)) > 0.5).astype(np.float64))
+    return gradcheck(lambda l: seg_loss(l, target).total, [logits])
 
 
 def model_check(seed=0):
@@ -285,7 +157,7 @@ def model_check(seed=0):
     bottleneck batch norm sees a single element per channel, its output
     collapses to beta, and every downstream ReLU sits exactly on its kink.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     cfg = ModelConfig.for_variant("base", input_size=64, dtype="f64")
     model = build_model(cfg, seed=seed)
     model.train()
@@ -301,7 +173,7 @@ def model_check(seed=0):
     params = [p for _, p in model.named_parameters()]
     eps = 1e-5
     worst = 0.0
-    probe_rng = _rng(seed + 1)
+    probe_rng = np.random.default_rng(seed + 1)
     with T.no_grad():
         for _ in range(6):
             vs = [probe_rng.standard_normal(p.shape) for p in params]
@@ -326,9 +198,10 @@ def model_check(seed=0):
 def run_suite(scope, seed=0):
     """Returns [(name, max relative error)] for the requested scope."""
     if scope == "ops":
-        return [(name, fn()) for name, fn in op_checks(seed)]
+        return ([(name, _op_check(make, seed)) for name, make in OP_CHECKS]
+                + [("seg_loss", _seg_loss_check(seed))])
     if scope == "blocks":
-        return [(name, fn()) for name, fn in block_checks(seed)]
+        return [(name, _block_check(make, shape, seed)) for name, make, shape in BLOCK_CHECKS]
     if scope == "model":
         return [("model_sampled", model_check(seed))]
     raise ValueError(f"unknown gradcheck scope '{scope}'")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from muvit import tensor as T
+from muvit.model import ModelConfig, build_model
 from muvit.tensor import Tensor, UsageError, VerificationError, backward, gradcheck, record
+from muvit.training import seg_loss
 from muvit.verify import run_suite
 
 
@@ -159,3 +161,27 @@ class TestGradcheckSuites:
     def test_model_suite(self):
         for name, err in run_suite("model"):
             assert err <= 1e-5, f"model gradcheck '{name}' at {err:.3e}"
+
+    def test_ops_suite_records_every_op_of_a_train_step(self, monkeypatch):
+        # every op that a Base@64 train step puts on the tape, model and loss,
+        # has an op check of its own
+        recorded = set()
+        out = T._out
+
+        def spy(op, inputs, data, bwd):
+            if T._recorded(inputs):
+                recorded.add(op)
+            return out(op, inputs, data, bwd)
+
+        monkeypatch.setattr(T, "_out", spy)
+        rng = np.random.default_rng(0)
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        model.train()
+        x = Tensor(rng.standard_normal((2, 3, 64, 64)).astype(np.float32))
+        y = Tensor((rng.random((2, 1, 64, 64)) > 0.5).astype(np.float32))
+        with record():
+            backward(seg_loss(model(x), y).total)
+        step_ops, recorded = recorded, set()
+        run_suite("ops")
+        assert "concat" in step_ops
+        assert step_ops <= recorded, f"no op check records {sorted(step_ops - recorded)}"

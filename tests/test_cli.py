@@ -12,6 +12,8 @@ from muvit.cli import _config_from_flags, _latency_tail, make_parser, run_cli
 from muvit.data import config_doc_dumps
 from muvit.model import ModelConfig
 
+from conftest import forced_workers
+
 
 def tree_digest(root):
     h = hashlib.sha256()
@@ -120,14 +122,26 @@ class TestTrainCommand:
             lines = [json.loads(line) for line in f]
         assert any("val_iou" in r for r in lines)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow on the way
     def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
+        # the overflow on the way raises no warning, so the layer is named
+        # under -W error too
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_doc_dumps({"input_size": 32, "epochs": 2, "batch": 2,
                                               "lr0": 1e6}))
         assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
                         "--out", str(tmp_path / "t.ckpt")]) == 1
         assert "error: non-finite loss at step" in capsys.readouterr().err
+
+    def test_diverging_run_names_its_layer_at_two_workers(self, tmp_path, capsys):
+        # the pool threads that split the dense conv, GELU and BatchNorm run
+        # under the caller's errstate; at 64x64 GELU splits its chunks
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 64, "epochs": 2, "batch": 2,
+                                              "lr0": 1e6}))
+        with forced_workers(2):
+            assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
+                            "--out", str(tmp_path / "t.ckpt")]) == 1
+        assert "; first non-finite layer: " in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -16,6 +16,7 @@ from muvit.data import (CONFIG_KEYS, ParseError, Sample, config_doc_dumps,
 from muvit.accounting import count_params
 from muvit.model import ModelConfig, build_model
 from muvit.tensor import ConfigError
+from muvit.training import SCHEDULES, lr_schedule
 
 
 class TestPNM:
@@ -181,7 +182,7 @@ class TestConfigDoc:
         ("seed", "-1", "non-negative"), ("epochs", "0", "positive"),
         ("epochs", "-1", "positive"), ("batch", "0", "positive"),
         ("lr0", "nan", "finite"), ("lr0", "inf", "finite"), ("lr0", "0.0", "above 0"),
-        ("lr0", "-0.01", "above 0"),
+        ("lr0", "-0.01", "above 0"), ("schedule", "foo", "SCHEDULES"),
     ])
     def test_out_of_range_value_rejected_with_key_and_line(self, key, value, expected):
         lines = config_doc_dumps({}).splitlines()
@@ -190,12 +191,18 @@ class TestConfigDoc:
         with pytest.raises(ConfigError, match=rf"'{key}' must be .*{expected}.*\(line {lineno}\)"):
             config_doc_loads("\n".join(lines))
 
-    @pytest.mark.parametrize("key,value", [("seed", -1), ("batch", 0), ("lr0", float("nan"))])
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("batch", 0), ("lr0", float("nan")),
+                                           ("schedule", "foo")])
     def test_out_of_range_value_not_written(self, tmp_path, key, value):
         path = tmp_path / "m.ckpt"
         with pytest.raises(ConfigError, match=f"'{key}' must be"):
             save_checkpoint(str(path), {key: value}, {"a": np.zeros(2, dtype=np.float32)})
         assert not path.exists()
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_every_schedule_round_trips(self, schedule):
+        assert config_doc_loads(config_doc_dumps({"schedule": schedule}))["schedule"] == schedule
+        assert lr_schedule(schedule, 0, 10, 0.01, warmup=1) >= 0.0
 
     def test_default_document_text(self):
         # the defaults of the model keys are ModelConfig's; these bytes are
