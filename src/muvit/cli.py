@@ -99,16 +99,14 @@ def cmd_train(args):
         doc = config_doc_loads(f.read())
     cfg = model_config_from_doc(doc)
     if args.synth:
-        samples = synth_dataset(*args.synth, cfg.input_size, difficulty=args.difficulty)
-        n_val = max(1, len(samples) // 5)
-        train_set, val_set = samples[:-n_val], samples[-n_val:]
+        train_set = synth_dataset(*args.synth, cfg.input_size, difficulty=args.difficulty)
     else:
         train_set = load_dataset(args.data)
-        if args.val_data:
-            val_set = load_dataset(args.val_data)
-        else:
-            n_val = max(1, len(train_set) // 5)
-            train_set, val_set = train_set[:-n_val], train_set[-n_val:]
+    if args.val_data:
+        val_set = load_dataset(args.val_data)
+    else:
+        n_val = max(1, len(train_set) // 5)
+        train_set, val_set = train_set[:-n_val], train_set[-n_val:]
     model = build_model(cfg, seed=doc["seed"])
     result = train_loop(model, train_set, val_set,
                         epochs=doc["epochs"], batch_size=doc["batch"],
@@ -232,7 +230,8 @@ def make_parser():
     src.add_argument("--data", help="dataset dir with images/ and masks/")
     src.add_argument("--synth", type=_int_list(2, "non-negative integers SEED,N", low=0),
                      metavar="SEED,N", help="generate a synthetic dataset")
-    p.add_argument("--val-data", help="separate validation dataset dir")
+    p.add_argument("--val-data", help="validation dataset dir (default: the last fifth of "
+                   "the training samples)")
     p.add_argument("--difficulty", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="JSONL training log path")

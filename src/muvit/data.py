@@ -45,9 +45,13 @@ class Sample:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.image.shape[1] != self.image.shape[2] or self.image.shape[1] % 32:
+        size = self.image.shape[1]
+        if self.image.shape[2] != size or size % 32:
             raise ConfigError(f"sample spatial dims {self.image.shape[1:]} must be "
                               "square and divisible by 32")
+        if self.mask.shape != (1, size, size):
+            raise ConfigError(f"mask shape {self.mask.shape} does not fit image shape "
+                              f"{self.image.shape}; expected (1, {size}, {size})")
 
 
 def standardize(image):
@@ -171,11 +175,17 @@ def load_dataset(data_dir):
     samples = []
     for name in sorted(os.listdir(img_dir)):
         stem = os.path.splitext(name)[0]
-        mask_path = os.path.join(msk_dir, stem + ".pgm")
+        img_path, mask_path = os.path.join(img_dir, name), os.path.join(msk_dir, stem + ".pgm")
         if not os.path.exists(mask_path):
             raise ConfigError(f"no mask for image '{name}'")
-        samples.append(Sample(image=read_image(os.path.join(img_dir, name)),
-                              mask=read_mask(mask_path), id=stem))
+        try:
+            sample = Sample(image=read_image(img_path), mask=read_mask(mask_path), id=stem)
+        except ConfigError as e:
+            raise ConfigError(f"{img_path}, {mask_path}: {e}") from None
+        if samples and sample.image.shape != samples[0].image.shape:
+            raise ConfigError(f"{img_path}: image shape {sample.image.shape} differs from "
+                              f"{samples[0].image.shape} of the first sample '{samples[0].id}'")
+        samples.append(sample)
     if not samples:
         raise ConfigError(f"no samples found under {data_dir}")
     return samples

@@ -49,9 +49,12 @@ b = min(16, Wo1) columns of the stride-1 output, neighbouring tiles
 overlapping by kw-1 columns, and kernel row i becomes a per-channel banded
 Toeplitz matrix [b+kw-1, b]. The forward is kh batched GEMMs over channels,
 one per kernel row, accumulated into the output. The backward takes d(w)
-from the diagonal sums of tiles^T @ d(out) and d(x) from d(out) times the
-transposed band, scatter-added back over the overlapping tile columns. The
-tape keeps only the input; the tiles are rebuilt in the backward pass.
+from the diagonal sums of tiles^T @ d(out), with the tiles rebuilt from the
+input, the only array the tape keeps. d(x) follows the rule of every conv
+here: it is the conv's own forward kernel run on d(out) with the kernel
+flipped in both axes, as a full correlation. So it is _dw_fwd at stride 1 on
+the stride-1 d(out) grid, zero between the strided positions, padded by
+k-1-pad rows and columns, or cropped by pad-(k-1) where that is negative.
 
 GELU keeps its exact-erf form x * Phi(x). In f32, Phi comes from the
 single-region Numerical Recipes `erfcc` approximation of erfc (fractional
@@ -860,17 +863,18 @@ def _dense_wgrad(w, hp, wp, gsrc, xsrc):
 _DW_TILE = 16
 
 
-def _dw_tiles(x, kw, pad):
-    """Zero-pad x [N, C, H, W] once into channel-major width tiles
-    [C, Hp, N, nb, b+kw-1]: tile t holds padded columns t*b .. t*b+b+kw-2, so
-    neighbouring tiles overlap by kw-1 columns. The tile width is
-    b = min(16, Wo1) for the stride-1 output width Wo1, and nb*b >= Wo1."""
+def _dw_tiles(x, kw, ph, pw):
+    """Zero-pad x [N, C, H, W] by ph rows and pw columns once into
+    channel-major width tiles [C, Hp, N, nb, b+kw-1]: tile t holds padded
+    columns t*b .. t*b+b+kw-2, so neighbouring tiles overlap by kw-1 columns.
+    The tile width is b = min(16, Wo1) for the stride-1 output width Wo1, and
+    nb*b >= Wo1."""
     n, c, h, w = x.shape
-    wo1 = w + 2 * pad - kw + 1
+    wo1 = w + 2 * pw - kw + 1
     b = min(_DW_TILE, wo1)
     nb = -(-wo1 // b)
-    xp = np.zeros((c, h + 2 * pad, n, nb * b + kw - 1), dtype=x.dtype)
-    xp[:, pad:pad + h, :, pad:pad + w] = x.transpose(1, 2, 0, 3)
+    xp = np.zeros((c, h + 2 * ph, n, nb * b + kw - 1), dtype=x.dtype)
+    xp[:, ph:ph + h, :, pw:pw + w] = x.transpose(1, 2, 0, 3)
     return np.ascontiguousarray(sliding_window_view(xp, b + kw - 1, axis=-1)[..., :nb * b:b, :])
 
 
@@ -885,17 +889,18 @@ def _dw_band(w, b):
     return band
 
 
-def _dw_fwd(x, w, stride, pad):
-    """Depthwise correlation, one batched GEMM over channels per kernel row:
-    the stride-1 output is sum_i tiles[:, i:i+Ho1] @ band[:, i], laid out as
-    [C, Ho1, N, nb*b]; stride s keeps every s-th row and column of it."""
+def _dw_fwd(x, w, stride, ph, pw):
+    """Depthwise correlation of x padded by ph rows and pw columns, one
+    batched GEMM over channels per kernel row: the stride-1 output is
+    sum_i tiles[:, i:i+Ho1] @ band[:, i], laid out as [C, Ho1, N, nb*b];
+    stride s keeps every s-th row and column of it."""
     n, c, h, wdt = x.shape
     kh, kw = w.shape[2:]
-    tiles = _dw_tiles(x, kw, pad)
+    tiles = _dw_tiles(x, kw, ph, pw)
     hp, nb, t = tiles.shape[1], tiles.shape[3], tiles.shape[4]
     b = t - kw + 1
     band = _dw_band(w, b)
-    ho1, wo1 = hp - kh + 1, wdt + 2 * pad - kw + 1
+    ho1, wo1 = hp - kh + 1, wdt + 2 * pw - kw + 1
     m = ho1 * n * nb
     out = np.empty((c, m, b), dtype=x.dtype)
     np.matmul(tiles[:, :ho1].reshape(c, m, t), band[:, 0], out=out)
@@ -912,17 +917,15 @@ def _dw_bwd(g, x, w, stride, pad, need_x):
 
     d(out) goes onto the stride-1 output grid g1 = [C, Ho1, N, nb*b], zero
     where the forward cropped. d(w) row i is the diagonal sums of
-    tiles[:, i:i+Ho1].T @ g1. d(x) row i is band[:, i] @ g1.T per tile, with
-    g1 copied tile-major so both GEMM operands are contiguous, and its
-    overlapping tile columns are scatter-added, b columns at a time, onto a
-    padded d(x) stored columns-outermost, so that every add runs over whole
-    (row, image) planes. The tiles are rebuilt here instead of kept on the
-    tape, and each buffer is freed as soon as it is used up, which keeps
-    the peak near that of a plain padded copy of d(x).
+    tiles[:, i:i+Ho1].T @ g1; the tiles are rebuilt here instead of kept on
+    the tape. d(x), as every conv's, is the forward kernel run on d(out) with
+    the flipped kernel: _dw_fwd of g1 with w flipped in both kernel axes, g1
+    padded by k-1-pad per axis to make it a full correlation, or cropped by
+    pad-(k-1) where that is negative.
     """
     n, c, h, wdt = x.shape
     kh, kw = w.shape[2:]
-    tiles = _dw_tiles(x, kw, pad)
+    tiles = _dw_tiles(x, kw, pad, pad)
     hp, nb, t = tiles.shape[1], tiles.shape[3], tiles.shape[4]
     b = t - kw + 1
     ho1, wo1 = hp - kh + 1, wdt + 2 * pad - kw + 1
@@ -938,50 +941,24 @@ def _dw_bwd(g, x, w, stride, pad, need_x):
     if not need_x:
         return gw, None
     del tiles
-    gt = np.ascontiguousarray(g1.reshape(c, ho1, n, nb, b).transpose(0, 3, 4, 1, 2))
-    del g1
-    gt = gt.reshape(c, nb, b, ho1 * n)
-    band = _dw_band(w, b)[:, None]
-    gxc = np.zeros((c, nb + -(-(kw - 1) // b), b, hp, n), dtype=g.dtype)
-    tmp = np.empty((c, nb, t, ho1, n), dtype=g.dtype)
-    for i in range(kh):
-        np.matmul(band[:, :, i], gt, out=tmp.reshape(c, nb, t, ho1 * n))
-        for q in range(0, t, b):
-            gxc[:, q // b:q // b + nb, :min(b, t - q), i:i + ho1] += tmp[:, :, q:q + b]
-    del gt, tmp
-    gx = gxc.transpose(4, 0, 3, 1, 2).reshape(n, c, hp, -1)[:, :, pad:pad + h, pad:pad + wdt]
-    return gw, np.ascontiguousarray(gx)
+    ph, pw = kh - 1 - pad, kw - 1 - pad
+    ch, cw = max(0, -ph), max(0, -pw)
+    gs = g1.transpose(2, 0, 1, 3)[:, :, ch:ho1 - ch, cw:wo1 - cw]
+    return gw, _dw_fwd(gs, w[:, :, ::-1, ::-1], 1, max(0, ph), max(0, pw))
 
 
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """2-d cross-correlation: dense (groups=1) or depthwise (groups=Ci=Co).
 
     x: [N, Ci, H, W]; w: [Co, Ci, kh, kw], or [Ci, 1, kh, kw] for a depthwise
-    conv; any other grouping raises ConfigError, and so does a dense conv
-    with stride != 1. Unpadded 1x1 kernels give a pointwise conv. Every
-    other dense conv takes the dense path on the virtual flat grid
-    xf = [Ci, N*Hp*Wp] of the zero-padded x: each tap (i, j) adds
-    w[:, :, i, j] @ xf[:, off:off + L] to the output, with
-    off = i*Wp + j and L = N*Hp*Wp - (kh-1)*Wp - (kw-1), one column block
-    [q, q+l) at a time, each worker staging the block's window of xf from x
-    (_stage, _dense_fwd) and writing the positions [:Ho, :Wo] of the block
-    into the result (_unstage). The backward pass keeps x and stages d(out)
-    on the same grid behind (kh-1)*Wp + (kw-1) zero columns.
-    d(w) sums d(out)[:, q:q+l] @ xf[:, q+off:q+off+l].T over taps and blocks
-    (_dense_wgrad). d(x) is _dense_fwd of that grid with w flipped in both
-    kernel axes and transposed to [Ci, Co], written at the input's place on
-    the grid; the lead makes it a full correlation, and shifts that run into
-    the previous row or image read only the zero margin.
-
-    Depthwise convs take the tiled path (_dw_fwd/_dw_bwd): x is padded once
-    into width tiles [Ci, Hp, N, nb, b+kw-1] with b = min(16, Wo1) for the
-    stride-1 output width Wo1, and that output is
-    sum_i tiles[:, i:i+Ho1] @ band[:, i], one batched GEMM per kernel row
-    with band[c, i] the [b+kw-1, b] Toeplitz matrix of w[c, 0, i]; stride s
-    keeps every s-th position. The backward pass sums
-    the diagonals of tiles^T @ d(out) for d(w) and scatter-adds
-    d(out) @ band^T over the overlapping tile columns for d(x). Every path
-    tallies the analytic N*Ho*Wo*Co*(Ci/groups)*kh*kw MACs.
+    conv; b: [Co] or None. Returns [N, Co, Ho, Wo] with
+    Ho = (H + 2*pad - kh) / stride + 1, and Wo likewise. Depthwise convs take
+    any stride; dense convs run at stride 1 only, and unpadded 1x1 dense
+    kernels are pointwise. Raises ConfigError for any other grouping, a
+    strided dense conv, a weight or bias that does not fit x, or a
+    non-integral output size. Tallies the analytic
+    N*Ho*Wo*Co*(Ci/groups)*kh*kw MACs. The algorithms are in the module
+    docstring.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ConfigError("conv2d expects 4-d input and weight")
@@ -1015,7 +992,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             return gx, gw
     elif depthwise:
         xd = x.data
-        out = _dw_fwd(xd, wd, stride, pad)
+        out = _dw_fwd(xd, wd, stride, pad, pad)
 
         def grads(g):
             gw, gx = _dw_bwd(g, xd, wd, stride, pad, need_x)

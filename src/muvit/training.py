@@ -196,7 +196,8 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
     """Seeded, deterministic, augmented training; returns history and the best-val state.
 
     Identical seeds and data give bitwise-identical loss traces. A non-finite
-    loss aborts with the name of the first non-finite layer.
+    loss aborts with the name of the first non-finite layer, and a non-finite
+    parameter or buffer at the end of an epoch with its own name.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -240,6 +241,9 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                     log_file.write(json.dumps(rec) + "\n")
                     log_file.flush()
                 step += 1
+            for name, a in model.named_state().items():
+                if not np.isfinite(a).all():
+                    raise TrainingDiverged(f"non-finite {name} after epoch {epoch}")
             if val_set:
                 with np.errstate(**_QUIET):
                     res = evaluate(model, val_set, batch_size=batch_size)

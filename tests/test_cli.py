@@ -122,15 +122,38 @@ class TestTrainCommand:
             lines = [json.loads(line) for line in f]
         assert any("val_iou" in r for r in lines)
 
+    def test_val_data_with_synth_keeps_every_synth_sample_for_training(self, tmp_path, capsys):
+        val = str(tmp_path / "val")
+        assert run_cli(["synth", "--seed", "2", "--n", "2", "--size", "32", "--out", val]) == 0
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 32, "epochs": 1, "batch": 5}))
+        assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,10",
+                        "--val-data", val, "--out", str(tmp_path / "t.ckpt")]) == 0
+        assert "trained 1 epochs on 10 samples" in capsys.readouterr().out
+
     def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
         # the overflow on the way raises no warning, so the layer is named
-        # under -W error too
+        # under -W error too; nine training samples give five steps in the
+        # first epoch, and the loss turns non-finite within them
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_doc_dumps({"input_size": 32, "epochs": 2, "batch": 2,
                                               "lr0": 1e6}))
-        assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
+        assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,11",
                         "--out", str(tmp_path / "t.ckpt")]) == 1
         assert "error: non-finite loss at step" in capsys.readouterr().err
+
+    def test_nonfinite_state_after_an_epoch_is_runtime_error(self, tmp_path, capsys):
+        # the loss stays finite through the epoch's three steps, but the last
+        # update overflows BatchNorm running variances; nothing is saved
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 32, "epochs": 1, "batch": 2,
+                                              "lr0": 1e6}))
+        out = tmp_path / "t.ckpt"
+        assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "proj5_bn.running_var" in err and "epoch 0" in err
+        assert not out.exists()
 
     def test_diverging_run_names_its_layer_at_two_workers(self, tmp_path, capsys):
         # the pool threads that split the dense conv, GELU and BatchNorm run
@@ -139,7 +162,7 @@ class TestTrainCommand:
         cfg_path.write_text(config_doc_dumps({"input_size": 64, "epochs": 2, "batch": 2,
                                               "lr0": 1e6}))
         with forced_workers(2):
-            assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,6",
+            assert run_cli(["train", "--config", str(cfg_path), "--synth", "1,11",
                             "--out", str(tmp_path / "t.ckpt")]) == 1
         assert "; first non-finite layer: " in capsys.readouterr().err
 

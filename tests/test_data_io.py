@@ -434,8 +434,29 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+
 class TestSample:
     def test_rejects_bad_spatial(self):
         with pytest.raises(ConfigError):
             Sample(image=np.zeros((3, 60, 60), dtype=np.float32),
                    mask=np.zeros((1, 60, 60), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(1, 64, 64), (1, 32, 64), (3, 32, 32), (32, 32)])
+    def test_rejects_mask_that_does_not_fit_its_image(self, shape):
+        with pytest.raises(ConfigError, match="mask shape"):
+            Sample(image=np.zeros((3, 32, 32), dtype=np.float32),
+                   mask=np.zeros(shape, dtype=np.float32))
+
+    def test_load_dataset_names_the_sample_whose_mask_does_not_fit(self, tmp_path):
+        save_dataset(synth_dataset(seed=1, n=3, size=32), str(tmp_path))
+        write_mask(str(tmp_path / "masks" / "0001.pgm"), np.zeros((1, 64, 64), np.float32))
+        with pytest.raises(ConfigError, match=r"0001\.pgm.*mask shape \(1, 64, 64\)"):
+            load_dataset(str(tmp_path))
+
+    def test_load_dataset_names_the_sample_of_another_size(self, tmp_path):
+        save_dataset(synth_dataset(seed=1, n=2, size=32), str(tmp_path))
+        big = synth_dataset(seed=1, n=1, size=64)[0]
+        write_image(str(tmp_path / "images" / "0002.ppm"), big.image)
+        write_mask(str(tmp_path / "masks" / "0002.pgm"), big.mask)
+        with pytest.raises(ConfigError, match=r"0002\.ppm.*differs from \(3, 32, 32\)"):
+            load_dataset(str(tmp_path))

@@ -50,6 +50,12 @@ CONV_CASES = {
     "case16": dict(n=2, ci=2, co=2, h=7, w=9, k=3, stride=2, pad=1, groups=2),
     "case17": dict(n=2, ci=3, co=3, h=6, w=8, k=2, stride=2, pad=0, groups=3),
     "case18": dict(n=2, ci=2, co=2, h=5, w=20, k=3, kw=5, stride=1, pad=1, groups=2),
+    # depthwise d(x) crops d(out) where pad >= k, in one or both axes, and
+    # pads it by k-1-pad elsewhere
+    "case19": dict(n=2, ci=3, co=3, h=4, w=5, k=1, stride=1, pad=1, groups=3),
+    "case20": dict(n=1, ci=2, co=2, h=5, w=6, k=3, stride=1, pad=3, groups=2),
+    "case21": dict(n=2, ci=2, co=2, h=4, w=7, k=1, kw=3, stride=1, pad=1, groups=2),
+    "case22": dict(n=2, ci=3, co=3, h=7, w=11, k=3, kw=5, stride=2, pad=1, groups=3),
 }
 
 
