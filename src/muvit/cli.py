@@ -182,9 +182,6 @@ def cmd_bench(args):
     name, tail = _latency_tail(times)
     print(f"forward latency over {args.iters} iters (batch {args.batch}, {size}x{size}):")
     print(f"  mean {mean * 1e3:.1f} ms   p50 {p50 * 1e3:.1f} ms   {name} {tail * 1e3:.1f} ms")
-    workers, source = T.workers()
-    blas = f"BLAS threads from {source}" if source else "no BLAS thread variable set"
-    print(f"  workers {workers} ({blas})")
     print("  note: local wall-clock on this machine; not comparable to any "
           "published FPS figures, which are hardware-bound.")
     return 0

@@ -207,9 +207,14 @@ def _ellipse_mask(size, cy, cx, ry, rx, angle, yy, xx):
 def synth_sample(seed, index, size, difficulty=0.0):
     """One deterministic sample: 1-3 low-contrast elliptical blobs on a noisy
     background, blurred boundaries, speckle, and additive artifacts. The mask
-    is the exact blob union; foreground fraction is kept within [0.02, 0.5]."""
-    if size % 32:
-        raise ConfigError(f"size {size} not divisible by 32")
+    is the exact blob union; foreground fraction is kept within [0.02, 0.5].
+    Raises ConfigError for a size that is not a positive multiple of 32 or a
+    difficulty outside [0, 1], NaN included."""
+    if size <= 0 or size % 32:
+        raise ConfigError(f"size {size} is not a positive multiple of 32")
+    difficulty = float(difficulty)
+    if not 0.0 <= difficulty <= 1.0:
+        raise ConfigError(f"difficulty {difficulty} is outside [0, 1]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), int(index)])))
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     mask = None
@@ -227,7 +232,6 @@ def synth_sample(seed, index, size, difficulty=0.0):
     if mask is None:
         raise ConfigError("synthetic generator failed to satisfy the foreground bound")
 
-    difficulty = float(np.clip(difficulty, 0.0, 1.0))
     gap = rng.uniform(0.48, 0.62) * (1.0 - 0.7 * difficulty)
     bg = rng.uniform(0.15, 0.30)
     soft = gaussian_filter(mask.astype(np.float64), sigma=0.8 + 2.0 * difficulty)

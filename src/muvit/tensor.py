@@ -23,20 +23,20 @@ for add, sub, reshape, the sums and means and avg-pool. So
 an activation that no closure reads, such as the GELU output that BatchNorm
 normalizes, is freed as soon as the forward drops it.
 
-Dense convs (groups=1, not pointwise; depthwise is the only other grouping)
-run at stride 1 only, as every dense conv of the network does; strided
-downsampling is depthwise. They compute on a virtual flat padded grid: the
-input zero-padded into a channel-major [Ci, N*Hp*Wp] array, where each
-kernel tap (i, j) is one GEMM against the grid shifted by i*Wp + j,
-accumulated into the output; windows that wrap into the next row or image
+Dense convs (groups=1, neither pointwise nor depthwise, which takes in the
+1-channel conv) run at stride 1 only, as every dense conv of the network
+does; strided downsampling is depthwise. They compute on a virtual flat
+padded grid: the input zero-padded into a channel-major [Ci, N*Hp*Wp] array,
+where each kernel tap (i, j) is one GEMM against the grid shifted by
+i*Wp + j, accumulated into the output; windows that wrap into the next row or image
 land only in the margin that is never read. The columns are cut into equal
 blocks of at most 2^17 / max(Co, Ci), so that a block of the input, the
 output and the per-tap product stay in L2 cache across the taps; each output
 still sums its taps in row-major order, so the f32 result is bitwise that of
-one whole-span GEMM per tap. The grid is never made: each worker copies its
-block's window of it, straight from the unpadded array, into a block-sized
-staging buffer, sums the taps in a block-sized accumulator and writes the
-block's valid columns into the [N, Co, Ho, Wo] result. The backward pass
+one whole-span GEMM per tap. The grid is never made: each block's window of
+it is copied, straight from the unpadded array, into a block-sized staging
+buffer, the taps are summed in a block-sized accumulator and the block's
+valid columns are written into the [N, Co, Ho, Wo] result. The backward pass
 stages d(out) the same way, behind (kh-1)*Wp + (kw-1) leading zeros: d(w)
 takes the per-tap GEMMs over the same blocks, with the input window restaged
 from the input array, and d(x) is the same blocked forward run on that grid
@@ -70,26 +70,12 @@ d(out) to that offset, the first row-major maximum of the window.
 All reductions use numpy's fixed sequential kernels, so forward passes are
 bitwise reproducible for identical inputs.
 
-Threads. The dense conv splits its column blocks over worker threads (the
-forward and d(x), which runs through the same kernel) and d(w) its kernel
-taps, when each per-block GEMM is large enough; GELU splits its 64K-element
-chunks, and eval-mode BatchNorm its channels, in groups of at least one
-chunk. Each item writes its own slice of the output with the arithmetic of
-the serial loop: a block's columns sum their taps in the same order, a tap
-sums the blocks in the same order, and elementwise work is per element. So
-every value and gradient is bitwise the same at any worker count. Workers
-run numpy and BLAS only; the tape, the MAC counter and the serial stay on
-the calling thread. There are cores // BLAS threads workers, with the BLAS
-thread count read, as OpenBLAS reads it, from the first of
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set; an
-unset or unparsable count means BLAS already spreads over every core, and
-then there is one worker and the serial path runs.
+Threads. BLAS is the only source of threads: every kernel here runs its
+serial loop, so results are bitwise at a fixed BLAS thread count.
 """
 
-import contextvars
 import itertools
 import math
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -351,80 +337,6 @@ def _sum_to_shape(g, shape):
 
 
 # ---------------------------------------------------------------------------
-# worker threads
-
-# the variables OpenBLAS reads its thread count from at start-up, in its order
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _worker_rule(cores, environ):
-    """(workers, source): cores // the BLAS thread count, at least 1. That
-    count is the value of the first variable of _BLAS_ENV set in `environ`,
-    named with its value in `source` (None if none is set); unset, unparsable
-    or below 1 it is `cores`, as an unpinned BLAS already uses every core."""
-    source, blas = None, cores
-    for var in _BLAS_ENV:
-        if var in environ:
-            source = f"{var}={environ[var]}"
-            try:
-                blas = int(environ[var])
-            except ValueError:
-                pass
-            break
-    return (max(1, cores // blas) if blas >= 1 else 1), source
-
-
-def _cores():
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one (Linux), else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_WORKERS, _WORKERS_FROM = _worker_rule(_cores(), os.environ)
-_POOL = None
-
-
-def workers():
-    """(count, source) of the worker threads the dense conv, GELU and
-    eval-mode BatchNorm split over; source names the BLAS thread variable the
-    count was derived from, or is None if none is set."""
-    return _WORKERS, _WORKERS_FROM
-
-
-def _parallel(fn, items):
-    """Call fn(group) on `items` cut into contiguous groups, one per worker.
-
-    The first group runs on the calling thread, the others on a pool of
-    _WORKERS - 1 threads made on first use. fn must run numpy only, never a
-    recorded op (the tape, the MAC counter and the serial are not
-    thread-safe), and write each item's result into its own slice of an
-    output. Each group runs in a copy of the caller's context, so numpy's
-    errstate holds in the pool threads too. Returns once every group has
-    finished; the first error in group order is then raised.
-    """
-    k = min(_WORKERS, len(items))
-    if k <= 1:
-        fn(items)
-        return
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _POOL = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="muvit")
-    cuts = [-(-len(items) * i // k) for i in range(k + 1)]
-    futures = [_POOL.submit(contextvars.copy_context().run, fn, items[a:b])
-               for a, b in zip(cuts[1:-1], cuts[2:])]
-    try:
-        fn(items[:cuts[1]])
-    finally:
-        errors = [f.exception() for f in futures]
-    for e in errors:
-        if e is not None:
-            raise e
-
-
-# ---------------------------------------------------------------------------
 # elementwise / structural ops
 
 
@@ -568,50 +480,45 @@ _GELU_CHUNK = 1 << 16
 def _gelu_f32(d, need_grad):
     """f32 GELU x * Phi(x) = max(x, 0) - |x| Q(|x|) with Q from `erfcc`,
     and, if need_grad, dGELU/dx = Phi(x) + x phi(x) = 1/2 + sign(x) *
-    (1/2 - Q(|x|) + |x| phi(x)). Runs over 64K-element chunks, so every
-    intermediate stays in cache, split over the workers with one set of
-    scratch buffers per group; every element's arithmetic is its own."""
+    (1/2 - Q(|x|) + |x| phi(x)). Runs over 64K-element chunks with one set
+    of scratch buffers, so every intermediate stays in cache."""
     xs = d.reshape(-1)
     out = np.empty(d.shape, np.float32)
     dg = np.empty(d.shape, np.float32) if need_grad else None
     outs = out.reshape(-1)
     dgs = dg.reshape(-1) if need_grad else None
     size = xs.size
-
-    def chunks(starts):
-        bufs = np.empty((3, min(size, _GELU_CHUNK)), np.float32)
-        for s in starts:
-            x = xs[s:s + _GELU_CHUNK]
-            o = outs[s:s + _GELU_CHUNK]
-            a, t, q = bufs[:, :x.size]
-            np.abs(x, out=a)
-            np.add(a, _TWO_SQRT2, out=t)
-            np.divide(_TWO_SQRT2, t, out=t)
-            np.multiply(t, _ERFCC[9], out=q)
-            for c in _ERFCC[8:0:-1]:
-                q += c
-                q *= t
-            q += _ERFCC[0]
-            np.multiply(a, a, out=o)
-            o *= np.float32(-0.5)
-            q += o
-            if need_grad:
-                dx = dgs[s:s + _GELU_CHUNK]
-                np.exp(o, out=dx)
-            np.exp(q, out=q)
-            q *= t                                  # Q(|x|)
-            if need_grad:
-                dx *= a
-                dx *= np.float32(_INV_SQRT_2PI)     # |x| phi(x)
-                dx -= q
-                dx += np.float32(0.5)
-                np.copysign(dx, x, out=dx)
-                dx += np.float32(0.5)
-            np.maximum(x, np.float32(0.0), out=o)
-            q *= a
-            o -= q
-
-    _parallel(chunks, range(0, size, _GELU_CHUNK))
+    bufs = np.empty((3, min(size, _GELU_CHUNK)), np.float32)
+    for s in range(0, size, _GELU_CHUNK):
+        x = xs[s:s + _GELU_CHUNK]
+        o = outs[s:s + _GELU_CHUNK]
+        a, t, q = bufs[:, :x.size]
+        np.abs(x, out=a)
+        np.add(a, _TWO_SQRT2, out=t)
+        np.divide(_TWO_SQRT2, t, out=t)
+        np.multiply(t, _ERFCC[9], out=q)
+        for c in _ERFCC[8:0:-1]:
+            q += c
+            q *= t
+        q += _ERFCC[0]
+        np.multiply(a, a, out=o)
+        o *= np.float32(-0.5)
+        q += o
+        if need_grad:
+            dx = dgs[s:s + _GELU_CHUNK]
+            np.exp(o, out=dx)
+        np.exp(q, out=q)
+        q *= t                                  # Q(|x|)
+        if need_grad:
+            dx *= a
+            dx *= np.float32(_INV_SQRT_2PI)     # |x| phi(x)
+            dx -= q
+            dx += np.float32(0.5)
+            np.copysign(dx, x, out=dx)
+            dx += np.float32(0.5)
+        np.maximum(x, np.float32(0.0), out=o)
+        q *= a
+        o -= q
     return out, dg
 
 
@@ -764,10 +671,6 @@ def _unstage(acc, q, hp, wp, dst):
 # slab (512 KB in f32), so that one block of the input, the output and the
 # per-tap product stay in L2 cache across the kernel taps.
 _BLOCK = 1 << 17
-# d(w) splits its taps over the workers only when each per-block GEMM does
-# at least this many MACs: threads hand the interpreter lock back and forth
-# on every numpy call, which costs more than a smaller GEMM saves.
-_SPLIT_MACS = 1 << 20
 
 
 def _dense_blocks(w, wp, m):
@@ -790,15 +693,15 @@ def _stage_size(c, length, wp):
 
 def _dense_fwd(w, hp, wp, src, dst, lead=0):
     """Stride-1 correlation on the flat grid of src, one GEMM per tap and
-    column block, the blocks split over the workers; see _stage for the grid.
+    column block; see _stage for the grid.
 
     With xf the grid of src behind `lead` zero columns,
     out[:, q] = sum_ij w[:, :, i, j] @ xf[:, q + i*wp + j] for q < span,
     and the positions of out on the grid of dst = (out, top) are
     written into it; those whose window wraps into the next row or image
-    are never read. Each worker stages its block's window of xf and sums the
-    block's taps in a block-sized accumulator, so no grid-sized array is
-    made. Every output column sums its taps in row-major order whatever the
+    are never read. Each block's window of xf is staged and its taps summed
+    in a block-sized accumulator, so no grid-sized array is made. Every
+    output column sums its taps in row-major order whatever the
     blocking, so the result is bitwise that of one whole-span GEMM per tap.
     """
     co, ci, kh, kw = w.shape
@@ -807,56 +710,43 @@ def _dense_fwd(w, hp, wp, src, dst, lead=0):
     blocks = _dense_blocks(w, wp, lead + a.shape[0] * hp * wp)
     width = blocks[0][1]
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-
-    def run(group):
-        buf = np.empty(_stage_size(ci, width + ext, wp), dtype=a.dtype)
-        acc = np.empty((co, width), dtype=a.dtype)
-        tmp = np.empty((co, width), dtype=a.dtype)
-        for q, l in group:
-            xs = _stage(src, hp, wp, q - lead, q - lead + l + ext, buf)
-            ac, t = acc[:, :l], tmp[:, :l]
-            ac.fill(0)
-            for i in range(kh):
-                for j in range(kw):
-                    off = i * wp + j
-                    np.matmul(wt[i, j], xs[:, off:off + l], out=t)
-                    ac += t
-            _unstage(ac, q, hp, wp, dst)
-
-    _parallel(run, blocks)
+    buf = np.empty(_stage_size(ci, width + ext, wp), dtype=a.dtype)
+    acc = np.empty((co, width), dtype=a.dtype)
+    tmp = np.empty((co, width), dtype=a.dtype)
+    for q, l in blocks:
+        xs = _stage(src, hp, wp, q - lead, q - lead + l + ext, buf)
+        ac, t = acc[:, :l], tmp[:, :l]
+        ac.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                np.matmul(wt[i, j], xs[:, off:off + l], out=t)
+                ac += t
+        _unstage(ac, q, hp, wp, dst)
 
 
 def _dense_wgrad(w, hp, wp, gsrc, xsrc):
     """d(w) of _dense_fwd from d(out) on the grid of gsrc and the input on
     the grid of xsrc: per column block and tap, gs[:, q:q+l] @
     xf[:, q+off:q+off+l].T accumulated over the blocks of _dense_fwd in order,
-    both operands staged per block. The taps are split over the workers when
-    each GEMM does at least _SPLIT_MACS MACs, so each tap's sum runs as it
-    does serially."""
+    both operands staged per block."""
     co, ci, kh, kw = w.shape
     x = xsrc[0]
     ext = (kh - 1) * wp + (kw - 1)
     gw = np.zeros((kh, kw, co, ci), dtype=x.dtype)
     blocks = _dense_blocks(w, wp, x.shape[0] * hp * wp)
     width = blocks[0][1]
-
-    def run(taps):
-        gbuf = np.empty(_stage_size(co, width, wp), dtype=gsrc[0].dtype)
-        xbuf = np.empty(_stage_size(ci, width + ext, wp), dtype=x.dtype)
-        tmp = np.empty((co, ci), dtype=x.dtype)
-        for q, l in blocks:
-            go = _stage(gsrc, hp, wp, q, q + l, gbuf)
-            xs = _stage(xsrc, hp, wp, q, q + l + ext, xbuf)
-            for i, j in taps:
+    gbuf = np.empty(_stage_size(co, width, wp), dtype=gsrc[0].dtype)
+    xbuf = np.empty(_stage_size(ci, width + ext, wp), dtype=x.dtype)
+    tmp = np.empty((co, ci), dtype=x.dtype)
+    for q, l in blocks:
+        go = _stage(gsrc, hp, wp, q, q + l, gbuf)
+        xs = _stage(xsrc, hp, wp, q, q + l + ext, xbuf)
+        for i in range(kh):
+            for j in range(kw):
                 off = i * wp + j
                 np.matmul(go, xs[:, off:off + l].T, out=tmp)
                 gw[i, j] += tmp
-
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    if co * ci * width < _SPLIT_MACS:
-        run(taps)
-    else:
-        _parallel(run, taps)
     return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
@@ -951,12 +841,12 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """2-d cross-correlation: dense (groups=1) or depthwise (groups=Ci=Co).
 
     x: [N, Ci, H, W]; w: [Co, Ci, kh, kw], or [Ci, 1, kh, kw] for a depthwise
-    conv; b: [Co] or None. Returns [N, Co, Ho, Wo] with
-    Ho = (H + 2*pad - kh) / stride + 1, and Wo likewise. Depthwise convs take
-    any stride; dense convs run at stride 1 only, and unpadded 1x1 dense
-    kernels are pointwise. Raises ConfigError for any other grouping, a
-    strided dense conv, a weight or bias that does not fit x, or a
-    non-integral output size. Tallies the analytic
+    conv, which a 1-channel conv at groups=1 is too; b: [Co] or None.
+    Returns [N, Co, Ho, Wo] with Ho = (H + 2*pad - kh) / stride + 1, and Wo
+    likewise. Depthwise convs take any stride; dense convs run at stride 1
+    only, and unpadded 1x1 dense kernels are pointwise. Raises ConfigError
+    for any other grouping, a strided dense conv, a weight or bias that does
+    not fit x, or a non-integral output size. Tallies the analytic
     N*Ho*Wo*Co*(Ci/groups)*kh*kw MACs. The algorithms are in the module
     docstring.
     """
@@ -969,14 +859,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
                           "or depthwise (groups = Ci = Co) are supported")
     if cig != ci // groups:
         raise ConfigError(f"conv2d: weight expects {cig} channels/group, input gives {ci // groups}")
-    if groups == 1 and stride != 1:
+    depthwise = cig == 1 and co == ci
+    if not depthwise and stride != 1:
         raise ConfigError(f"conv2d: dense convs run at stride 1 only, got stride={stride}")
     if b is not None and b.shape != (co,):
         raise ConfigError(f"conv2d: bias shape {b.shape} != ({co},)")
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(wdt, kw, stride, pad)
-    pointwise = kh == 1 and kw == 1 and pad == 0 and groups == 1
-    depthwise = groups == ci and co == ci and cig == 1
+    pointwise = kh == 1 and kw == 1 and pad == 0 and groups == 1 and stride == 1
     need_x, wd = x.requires_grad, w.data
     # each branch's closure captures only what its backward reads: the input
     # array
@@ -1193,12 +1083,11 @@ def batchnorm2d(x, gamma, beta, running, training=True):
     mode, with momentum BN_MOMENTUM; eval mode normalizes with them instead
     of batch statistics. The statistics are contiguous reductions on the
     [N, C, H*W] view, r.sum(axis=2).sum(axis=0) / m and the same on the
-    centred squares, which is bitwise equal to mean/var over axes (0, 2, 3). The forward centres x
-    once into xhat, scales it in place and writes the affine into the output
-    with out=, in eval mode split over the workers by channel groups; an
-    unrecorded eval call runs the same ops in the output itself, with no
-    xhat. The backward takes d(gamma) and d(beta) from the same contiguous
-    reductions.
+    centred squares, which is bitwise equal to mean/var over axes (0, 2, 3).
+    The forward centres x once into xhat, scales it in place and writes the
+    affine into the output with out=; an unrecorded eval call runs the same
+    ops in the output itself, with no xhat. The backward takes d(gamma) and
+    d(beta) from the same contiguous reductions.
     """
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -1222,30 +1111,16 @@ def batchnorm2d(x, gamma, beta, running, training=True):
             rm += BN_MOMENTUM * mu
             rv *= 1.0 - BN_MOMENTUM
             rv += BN_MOMENTUM * var
-        # serial: the statistics are, and splitting the rest measured slower
-        invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= invstd[:, None]
-        np.multiply(xhat, gamma.data[:, None], out=o)
-        o += beta.data[:, None]
     else:
         mu, var = running
-        invstd = 1.0 / np.sqrt(var + BN_EPS)
         # unrecorded, no backward reads xhat, so it is normalized in the output
         xdt = np.result_type(r, mu)
         xhat = o if xdt == dtype and not _recorded((x, gamma, beta)) else np.empty(r.shape, xdt)
-
-        def normalize(starts):
-            # a range of channel-group starts; its stop ends the last group
-            cs = slice(starts.start, starts.stop)
-            xh = xhat[:, cs]
-            np.subtract(r[:, cs], mu[cs, None], out=xh)
-            xh *= invstd[cs, None]
-            np.multiply(xh, gamma.data[cs, None], out=o[:, cs])
-            o[:, cs] += beta.data[cs, None]
-
-        # groups of at least a GELU chunk: a smaller one costs more to hand
-        # to a worker than it saves
-        _parallel(normalize, range(0, c, -(-_GELU_CHUNK // m)))
+        np.subtract(r, mu[:, None], out=xhat)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= invstd[:, None]
+    np.multiply(xhat, gamma.data[:, None], out=o)
+    o += beta.data[:, None]
 
     def bwd(g):
         g3 = g.reshape(n, c, h * w)

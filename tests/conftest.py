@@ -1,9 +1,5 @@
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
-
-from muvit import tensor as T
 
 
 @pytest.fixture
@@ -37,15 +33,3 @@ def conv2d_reference(x, w, b=None, stride=1, pad=0, groups=1):
         out += b[None, :, None, None]
     return out
 
-
-@contextmanager
-def forced_workers(k):
-    """Run the block with k workers on a pool of its own, shut down after."""
-    saved = T._WORKERS, T._POOL
-    T._WORKERS, T._POOL = k, None
-    try:
-        yield
-    finally:
-        if T._POOL is not None:
-            T._POOL.shutdown()
-        T._WORKERS, T._POOL = saved

@@ -11,8 +11,8 @@ from muvit.data import (CONFIG_KEYS, ParseError, Sample, config_doc_dumps,
                         config_doc_loads, doc_from_model_config, load_checkpoint,
                         load_dataset, load_model_state, load_pnm,
                         model_config_from_doc, read_image, read_mask,
-                        save_checkpoint, save_dataset, synth_dataset, write_image,
-                        write_mask)
+                        save_checkpoint, save_dataset, synth_dataset, synth_sample,
+                        write_image, write_mask)
 from muvit.accounting import count_params
 from muvit.model import ModelConfig, build_model
 from muvit.tensor import ConfigError
@@ -99,7 +99,6 @@ class TestSynthDataset:
             assert sa.mask.tobytes() == sb.mask.tobytes()
 
     def test_sample_independent_of_batch(self):
-        from muvit.data import synth_sample
         alone = synth_sample(seed=7, index=3, size=64)
         batch = synth_dataset(seed=7, n=5, size=64)[3]
         assert alone.image.tobytes() == batch.image.tobytes()
@@ -134,6 +133,20 @@ class TestSynthDataset:
     def test_size_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             synth_dataset(seed=3, n=1, size=60)
+
+    @pytest.mark.parametrize("size,difficulty,message", [
+        (0, 0.0, "size 0 is not a positive multiple of 32"),
+        (-32, 0.0, "size -32 is not a positive multiple of 32"),
+        (32, float("nan"), r"difficulty nan is outside \[0, 1\]"),
+        (32, -3.0, "difficulty -3.0 is outside"),
+        (32, -1e-9, "difficulty -1e-09 is outside"),
+        (32, 1.5, "difficulty 1.5 is outside"),
+        (32, float("inf"), "difficulty inf is outside"),
+        (32, float("-inf"), "difficulty -inf is outside"),
+    ])
+    def test_bad_size_or_difficulty_rejected_by_value(self, size, difficulty, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_sample(seed=3, index=0, size=size, difficulty=difficulty)
 
     def test_save_load_directory(self, tmp_path):
         ds = synth_dataset(seed=23, n=3, size=64)

@@ -1,13 +1,7 @@
 """Forward-value tests for the tensor ops, against hand-derived and
 brute-force oracles."""
 
-import hashlib
 import math
-import os
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 import weakref
 
@@ -19,9 +13,8 @@ from muvit import tensor as T
 from muvit.model import ModelConfig, build_model
 from muvit.nn import Conv2d
 from muvit.tensor import ConfigError, Tensor
-from muvit.training import seg_loss
 
-from conftest import conv2d_reference, forced_workers
+from conftest import conv2d_reference
 
 
 def t(arr, dtype="f64"):
@@ -56,6 +49,8 @@ CONV_CASES = {
     "case20": dict(n=1, ci=2, co=2, h=5, w=6, k=3, stride=1, pad=3, groups=2),
     "case21": dict(n=2, ci=2, co=2, h=4, w=7, k=1, kw=3, stride=1, pad=1, groups=2),
     "case22": dict(n=2, ci=3, co=3, h=7, w=11, k=3, kw=5, stride=2, pad=1, groups=3),
+    # a 1-channel conv is depthwise at groups=1, and takes any stride
+    "case23": dict(n=2, ci=1, co=1, h=8, w=10, k=2, stride=2, pad=0, groups=1),
 }
 
 
@@ -261,7 +256,7 @@ class TestDenseConv:
 
     def test_backward_transient_memory(self):
         # d(out) and the input are staged a block at a time, so the backward
-        # holds d(x), d(w) and a few blocks per worker, well under 2.5 grids
+        # holds d(x), d(w) and a few blocks, well under 2.5 grids
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 32, 128, 128)), requires_grad=True, dtype="f32")
         w = Tensor(rng.standard_normal((32, 32, 3, 3)), requires_grad=True, dtype="f32")
@@ -306,31 +301,27 @@ class TestDenseConv:
         wd = (rng.standard_normal((co, ci, kh, kw)) * 0.2).astype(np.float32)
         g = rng.standard_normal((n, co, hp - kh + 1, wp - kw + 1)).astype(np.float32)
         expected = [a.tobytes() for a in dense_full_grid(xd, wd, g, pad)]
-        for k in (1, 2, 3):
-            with forced_workers(k):
-                x, wt = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
-                with T.record() as graph:
-                    out = T.conv2d(x, wt, stride=stride, pad=pad)
-                gx, gw = graph.nodes[-1].bwd(g)
-            assert [a.tobytes() for a in (out.data, gx, gw)] == expected, f"{k} workers"
+        x, wt = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        with T.record() as graph:
+            out = T.conv2d(x, wt, stride=stride, pad=pad)
+        gx, gw = graph.nodes[-1].bwd(g)
+        assert [a.tobytes() for a in (out.data, gx, gw)] == expected
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dense_forward_transient_memory_is_blocks_not_grids(self, k):
-        # each worker stages a block's window of the padded input and sums
-        # its taps in a block-sized accumulator: the call holds its output
-        # plus a few blocks per worker, where a padded grid is 8.5 MB
+    def test_dense_forward_transient_memory_is_blocks_not_grids(self):
+        # the call stages a block's window of the padded input and sums its
+        # taps in a block-sized accumulator: it holds its output plus a few
+        # blocks, where a padded grid is 8.5 MB
         x = Tensor(np.ones((1, 32, 256, 256), np.float32))
         w = Tensor(np.ones((32, 32, 3, 3), np.float32))
         block = T._BLOCK * 4
-        with forced_workers(k):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                out = T.conv2d(x, w, pad=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak - base - out.data.nbytes <= 4 * block * k < 32 * 258 * 258 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, pad=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - out.data.nbytes <= 4 * block < 32 * 258 * 258 * 4
 
     def test_dense_base256_eval_peak_memory(self):
         # the largest maps are 32 channels at 256x256 (8.4 MB each): dec5's
@@ -340,7 +331,7 @@ class TestDenseConv:
         model = build_model(ModelConfig.for_variant("base", input_size=256), seed=0)
         model.eval()
         x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 256, 256)).astype(np.float32))
-        with forced_workers(2), T.no_grad():
+        with T.no_grad():
             model(x)
             tracemalloc.start()
             try:
@@ -769,201 +760,3 @@ class TestDeterminism:
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
-
-
-def sha(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-def at_each_workers(run, counts=(1, 2, 3)):
-    """run() under each worker count, checking that every count above one
-    handed work to the pool."""
-    results = []
-    for k in counts:
-        with forced_workers(k):
-            results.append(run())
-            assert (T._POOL is not None) == (k > 1)
-    return results
-
-
-class _CallerError(Exception):
-    pass
-
-
-class _WorkerError(Exception):
-    pass
-
-
-class TestWorkers:
-    def test_base64_step_and_eval_bitwise_at_any_workers(self):
-        # loss, every parameter gradient and the BatchNorm buffers of a
-        # Base@64, batch-8 step, then the eval logits at 64 and 256
-        rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((8, 3, 64, 64)).astype(np.float32))
-        y = Tensor((rng.random((8, 1, 64, 64)) > 0.5).astype(np.float32))
-        x256 = Tensor(rng.standard_normal((1, 3, 256, 256)).astype(np.float32))
-
-        def run():
-            model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
-            model.train()
-            with T.record():
-                loss = seg_loss(model(x), y).total
-                T.backward(loss)
-            step = sha(loss.data, *(p.grad for _, p in model.named_parameters()),
-                       *(a for _, a in model.named_buffers()))
-            model.eval()
-            with T.no_grad():
-                eval64 = sha(model(x).data)
-            big = build_model(ModelConfig.for_variant("base", input_size=256), seed=0)
-            big.eval()
-            with T.no_grad():
-                eval256 = sha(big(x256).data)
-            return step, eval64, eval256
-
-        first, *rest = at_each_workers(run)
-        assert all(r == first for r in rest)
-
-    @pytest.mark.parametrize("n,c,h,blocks", [(2, 8, 12, 1), (1, 32, 64, 2), (2, 32, 64, 3)])
-    def test_dense_conv_bitwise_at_any_workers(self, n, c, h, blocks):
-        # one column block, fewer blocks than workers, an odd block count;
-        # d(w) splits its taps when the GEMMs are large enough
-        rng = np.random.default_rng(h + c)
-        xd = rng.standard_normal((n, c, h, h)).astype(np.float32)
-        wd = (rng.standard_normal((c, c, 3, 3)) * 0.2).astype(np.float32)
-        g = Tensor(rng.standard_normal((n, c, h, h)).astype(np.float32))
-        got = T._dense_blocks(wd, h + 2, n * (h + 2) ** 2)
-        assert len(got) == blocks
-        assert (c * c * got[0][1] >= T._SPLIT_MACS) == (blocks > 1)
-
-        def run():
-            x = Tensor(xd, requires_grad=True)
-            w = Tensor(wd, requires_grad=True)
-            with T.record():
-                out = T.conv2d(x, w, pad=1)
-                T.backward(T.tsum(T.mul(out, g)))
-            return sha(out.data), sha(x.grad), sha(w.grad)
-
-        first, *rest = at_each_workers(run, (1, 2, 3) if blocks > 1 else (1,))
-        assert all(r == first for r in rest)
-        with forced_workers(3):
-            assert run() == first
-
-    @pytest.mark.parametrize("size", [T._GELU_CHUNK - 1, T._GELU_CHUNK + 1,
-                                      2 * T._GELU_CHUNK + 7])
-    def test_gelu_bitwise_at_any_workers(self, size):
-        xd = (np.random.default_rng(size).standard_normal(size) * 4.0).astype(np.float32)
-
-        def run():
-            x = Tensor(xd, requires_grad=True)
-            with T.record():
-                out = T.gelu(x)
-                T.backward(T.tsum(out))
-            with T.no_grad():
-                plain = T.gelu(Tensor(xd))
-            return sha(out.data), sha(x.grad), sha(plain.data)
-
-        counts = (1, 2, 3) if size > T._GELU_CHUNK else (1,)
-        first, *rest = at_each_workers(run, counts)
-        assert all(r == first for r in rest)
-        with forced_workers(3):
-            assert run() == first
-
-    @pytest.mark.parametrize("shape,groups", [((1, 1, 256, 256), 1), ((2, 3, 160, 160), 2),
-                                              ((1, 3, 256, 256), 3)])
-    @pytest.mark.parametrize("training", [True, False])
-    def test_batchnorm_bitwise_at_any_workers(self, shape, groups, training):
-        # eval mode splits into channel groups of at least a GELU chunk
-        rng = np.random.default_rng(shape[1])
-        c = shape[1]
-        xd = (rng.standard_normal(shape) * 2.0 + 0.5).astype(np.float32)
-        gd = (1.0 + 0.2 * rng.standard_normal(c)).astype(np.float32)
-        bd = (0.3 * rng.standard_normal(c)).astype(np.float32)
-        running = ((0.1 * rng.standard_normal(c)).astype(np.float32),
-                   (1.0 + rng.random(c)).astype(np.float32))
-        r = Tensor(rng.standard_normal(shape).astype(np.float32))
-        m = shape[0] * shape[2] * shape[3]
-        assert len(range(0, c, -(-T._GELU_CHUNK // m))) == groups
-
-        def run():
-            x, gamma, beta = (Tensor(a, requires_grad=True) for a in (xd, gd, bd))
-            buffers = tuple(a.copy() for a in running)
-            with T.record():
-                out = T.batchnorm2d(x, gamma, beta, buffers, training=training)
-                T.backward(T.tsum(T.mul(out, r)))
-            return sha(out.data, x.grad, gamma.grad, beta.grad, *buffers)
-
-        counts = (1, 2, 3) if groups > 1 and not training else (1,)
-        first, *rest = at_each_workers(run, counts)
-        assert all(r == first for r in rest)
-        with forced_workers(3):
-            assert run() == first
-
-    @pytest.mark.parametrize("fails,error", [(0, _CallerError), (2, _WorkerError)])
-    def test_workers_error_propagates_after_every_group_finished(self, fails, error):
-        # groups [0] on the caller, [1] and [2] on the pool
-        done = []
-
-        def fn(group):
-            if group[0] == fails:
-                raise error(group[0])
-            time.sleep(0.05)
-            done.append(group[0])
-
-        with forced_workers(3):
-            with pytest.raises(error):
-                T._parallel(fn, range(3))
-            assert sorted(done) == sorted({0, 1, 2} - {fails})
-            # the pool still runs the next call
-            idents = {}
-            T._parallel(lambda group: idents.update({group[0]: threading.get_ident()}),
-                        range(3))
-            caller = threading.get_ident()
-            assert idents[0] == caller and caller not in (idents[1], idents[2])
-
-    def test_workers_thread_count_stays_flat_over_op_calls(self):
-        before = threading.active_count()
-        x = Tensor(np.ones(T._GELU_CHUNK * 2 + 1, np.float32))
-        with forced_workers(3):
-            for _ in range(200):
-                T.gelu(x)
-            assert threading.active_count() <= before + 2
-
-    @pytest.mark.parametrize("cores,environ,expected", [
-        (2, {}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-        (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "abc"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-    ])
-    def test_workers_rule(self, cores, environ, expected):
-        workers, source = T._worker_rule(cores, environ)
-        assert workers == expected
-        first = next((v for v in T._BLAS_ENV if v in environ), None)
-        assert source == (None if first is None else f"{first}={environ[first]}")
-
-    def test_workers_without_cpu_affinity(self, monkeypatch):
-        # platforms without os.sched_getaffinity (macOS, Windows) count the
-        # machine's CPUs, and muvit still imports there
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert T._worker_rule(T._cores(), {"OPENBLAS_NUM_THREADS": "1"}) == (
-            3, "OPENBLAS_NUM_THREADS=1")
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert T._cores() == 1
-        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
-        code = ("import os; vars(os).pop('sched_getaffinity', None); os.cpu_count = lambda: 3\n"
-                "import muvit.tensor as T; print(*T.workers())")
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.split() == ["3", "OPENBLAS_NUM_THREADS=1"]

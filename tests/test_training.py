@@ -16,8 +16,6 @@ from muvit.tensor import ConfigError, Tensor, UsageError, backward, record
 from muvit.training import (SGD, TrainingDiverged, augment, hflip, lr_schedule,
                             rot90k, seg_loss, train_loop, vflip)
 
-from conftest import forced_workers
-
 
 def logits_of(p):
     p = np.asarray(p, dtype=np.float64)
@@ -432,23 +430,21 @@ class TestTapeHoldsWhatBackwardReads:
             tracemalloc.stop()
         assert peak <= 100e6, f"step peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_step_peak_memory_with_consumed_tape(self, workers):
+    def test_step_peak_memory_with_consumed_tape(self):
         # backward frees each node as it consumes it and max-pool keeps only
-        # its winner offsets: 63.3 MB at 1 and 2 workers, against 78.7 MB
-        # with a tape held whole until the record() block exits
+        # its winner offsets: 63.3 MB, against 78.7 MB with a tape held whole
+        # until the record() block exits
         model, x, y = base64_step_inputs(8)
-        with forced_workers(workers):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                with record():
-                    terms = seg_loss(model(x), y)
-                    model.zero_grad()
-                    backward(terms.total)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with record():
+                terms = seg_loss(model(x), y)
+                model.zero_grad()
+                backward(terms.total)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
         assert peak <= 70e6, f"step peak {peak / 1e6:.1f} MB"
 
     def test_dense_conv_input_freed_when_backward_returns(self, rng):
