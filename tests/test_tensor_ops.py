@@ -307,11 +307,12 @@ class TestDenseConv:
         gx, gw = graph.nodes[-1].bwd(g)
         assert [a.tobytes() for a in (out.data, gx, gw)] == expected
 
-    def test_dense_forward_transient_memory_is_blocks_not_grids(self):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dense_forward_transient_memory_is_blocks_not_grids(self, n):
         # the call stages a block's window of the padded input and sums its
         # taps in a block-sized accumulator: it holds its output plus a few
-        # blocks, where a padded grid is 8.5 MB
-        x = Tensor(np.ones((1, 32, 256, 256), np.float32))
+        # blocks at any batch size, where one sample's padded grid is 8.5 MB
+        x = Tensor(np.ones((n, 32, 256, 256), np.float32))
         w = Tensor(np.ones((32, 32, 3, 3), np.float32))
         block = T._BLOCK * 4
         tracemalloc.start()
