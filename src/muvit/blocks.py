@@ -62,6 +62,10 @@ class ConvUtrBlock(Module):
         return T.add(self.bn3(T.gelu(self.pw2(z))), y)
 
 
+# 2x2 max-pool, or the learnable stride-2 2x2 depthwise conv.
+DOWNSAMPLE_MODES = ("maxpool", "conv")
+
+
 class Downsample(Module):
     """2x spatial reduction: 2x2 max-pool, or a stride-2 2x2 depthwise conv.
 
@@ -71,7 +75,6 @@ class Downsample(Module):
 
     def __init__(self, c, mode):
         super().__init__()
-        from .model import DOWNSAMPLE_MODES  # model imports this module
         if mode not in DOWNSAMPLE_MODES:
             raise ConfigError(f"unknown downsample mode '{mode}'")
         self.mode = mode

@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .model import ModelConfig
 from .tensor import ConfigError
@@ -46,9 +45,9 @@ class Sample:
 
     def __post_init__(self):
         size = self.image.shape[1]
-        if self.image.shape[2] != size or size % 32:
+        if self.image.shape[2] != size or size <= 0 or size % 32:
             raise ConfigError(f"sample spatial dims {self.image.shape[1:]} must be "
-                              "square and divisible by 32")
+                              "square and a positive multiple of 32")
         if self.mask.shape != (1, size, size):
             raise ConfigError(f"mask shape {self.mask.shape} does not fit image shape "
                               f"{self.image.shape}; expected (1, {size}, {size})")
@@ -195,6 +194,27 @@ def load_dataset(data_dir):
 # synthetic low-contrast blob dataset
 
 
+def _gaussian_blur(a, sigma):
+    """Separable Gaussian blur of a 2-D float64 array, edges mirrored
+    (d c b a | a b c d | d c b a): bitwise scipy.ndimage.gaussian_filter(a,
+    sigma). As there, the kernel exp(-x^2 / 2 sigma^2) / sum has radius
+    int(4 sigma + 0.5), axis 0 is blurred first, and each output sums
+    p[c] w[0] and then (p[c+j] + p[c-j]) w[j] for j from the radius down to 1;
+    another order changes the last bits of the synthetic images."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = w[r:] / w.sum()
+    for _ in range(2):          # axis 0, then axis 1 as axis 0 of the transpose
+        p = np.pad(a, ((r, r), (0, 0)), mode="symmetric")
+        n = a.shape[0]
+        out = p[r:r + n] * w[0]
+        for j in range(r, 0, -1):
+            out += (p[r + j:r + j + n] + p[r - j:r - j + n]) * w[j]
+        a = out.T
+    return a
+
+
 def _ellipse_mask(size, cy, cx, ry, rx, angle, yy, xx):
     ys = yy - cy
     xs = xx - cx
@@ -234,7 +254,7 @@ def synth_sample(seed, index, size, difficulty=0.0):
 
     gap = rng.uniform(0.48, 0.62) * (1.0 - 0.7 * difficulty)
     bg = rng.uniform(0.15, 0.30)
-    soft = gaussian_filter(mask.astype(np.float64), sigma=0.8 + 2.0 * difficulty)
+    soft = _gaussian_blur(mask.astype(np.float64), 0.8 + 2.0 * difficulty)
     img = bg + gap * soft
 
     speckle = rng.standard_normal((size, size)) * (0.05 + 0.10 * difficulty)
@@ -288,14 +308,12 @@ _FORMS = {
 }
 
 
-def _schedules():
-    from .training import SCHEDULES  # training imports this module
-    return SCHEDULES
-
+# The learning-rate schedules of training.lr_schedule.
+SCHEDULES = ("poly", "warmup_cosine", "constant")
 
 # Accepted ranges of the training values; ModelConfig checks the model's.
 _RANGES = {
-    "schedule": (lambda v: v in _schedules(), "a name in training.SCHEDULES"),
+    "schedule": (lambda v: v in SCHEDULES, "a name in SCHEDULES"),
     "seed": (lambda v: v >= 0, "a non-negative integer"),
     "epochs": (lambda v: v >= 1, "a positive integer"),
     "batch": (lambda v: v >= 1, "a positive integer"),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, tensor as T
-from .blocks import (ConvUtrStage, DecoderBlock, Downsample, LKLGLBlock,
-                     SkipAdapter, TransformerBlock, to_map, to_tokens)
+from .blocks import (DOWNSAMPLE_MODES, ConvUtrStage, DecoderBlock, Downsample,
+                     LKLGLBlock, SkipAdapter, TransformerBlock, to_map, to_tokens)
 from .nn import Conv2d, BatchNorm2d, Module, ModuleList
 from .tensor import ConfigError, UsageError
 
@@ -39,10 +39,6 @@ SKIPS = {
     "skip3": (Skip("adapt1", 1, 2, True), Skip("adapt2", 2, 1, True),
               Skip("adapt3", 3, 0, True)),
 }
-
-# 2x2 max-pool, or the learnable stride-2 2x2 depthwise conv (blocks.Downsample).
-DOWNSAMPLE_MODES = ("maxpool", "conv")
-
 
 # Shared by both variants. The LKLGL transposed conv redistributes each pooled
 # token over a POOL_RATIO x POOL_RATIO patch, so its kernel is POOL_RATIO.

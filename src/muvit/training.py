@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import standardize
+from .data import SCHEDULES, standardize
 from .metrics import evaluate
 from .model import first_nonfinite_layer
 from .tensor import ConfigError, Tensor, UsageError
 
 BCE_CLAMP = 1e-7
 DICE_EPS = 1.0
-SCHEDULES = ("poly", "warmup_cosine", "constant")
 # A diverging model overflows on its way to a non-finite loss; the step's
 # forward and the validation pass raise no floating-point warnings, and the
 # next loss check names the first non-finite layer.
@@ -205,6 +204,12 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
         raise ConfigError(f"batch size {batch_size} and epochs {epochs} must both be >= 1")
     if batch_size > len(train_set):
         raise ConfigError("batch size larger than the training set")
+    size = model.cfg.input_size
+    for name, samples in (("training", train_set), ("validation", val_set or ())):
+        for s in samples:
+            if s.image.shape[1:] != (size, size):
+                raise ConfigError(f"{name} sample '{s.id}' is {s.image.shape[1]}x"
+                                  f"{s.image.shape[2]}; the model takes {size}x{size} inputs")
     steps_per_epoch = math.ceil(len(train_set) / batch_size)
     total_steps = epochs * steps_per_epoch
     opt = SGD(list(model.named_parameters()))

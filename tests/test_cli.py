@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import muvit
 from muvit import accounting
 from muvit.cli import _config_from_flags, _latency_tail, make_parser, run_cli
 from muvit.data import config_doc_dumps
@@ -136,6 +139,17 @@ class TestTrainCommand:
                         "--val-data", val, "--out", str(tmp_path / "t.ckpt")]) == 0
         assert "trained 1 epochs on 10 samples" in capsys.readouterr().out
 
+    def test_val_data_of_another_size_exits_1_before_the_first_step(self, tmp_path, capsys):
+        val = str(tmp_path / "val")
+        assert run_cli(["synth", "--seed", "2", "--n", "2", "--size", "32", "--out", val]) == 0
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_doc_dumps({"input_size": 64, "epochs": 1, "batch": 8}))
+        log = tmp_path / "t.log"
+        assert run_cli(["train", "--config", str(cfg_path), "--synth", "3,40", "--val-data", val,
+                        "--out", str(tmp_path / "t.ckpt"), "--log", str(log)]) == 1
+        assert "error: validation sample '0000' is 32x32" in capsys.readouterr().err
+        assert not log.exists()
+
     def test_diverging_run_is_runtime_error(self, tmp_path, capsys):
         # the overflow on the way raises no warning, so the layer is named
         # under -W error too; nine training samples give five steps in the
@@ -178,6 +192,36 @@ class TestGradcheckCommand:
 
     def test_absurd_threshold_fails_with_exit_1(self, capsys):
         assert run_cli(["gradcheck", "--scope", "ops", "--threshold", "1e-30"]) == 1
+
+
+class TestWithoutScipy:
+    SCRIPT = """
+import sys
+sys.modules["scipy"] = None   # any import of scipy or its submodules now fails
+import muvit
+from muvit.cli import run_cli
+from muvit.data import config_doc_dumps
+out = sys.argv[1]
+with open(out + "/run.cfg", "w") as f:
+    f.write(config_doc_dumps({"input_size": 32, "epochs": 1, "batch": 2}))
+codes = [run_cli(argv) for argv in (
+    ["synth", "--seed", "1", "--n", "2", "--size", "32", "--out", out + "/s"],
+    ["count", "--size", "64"],
+    ["train", "--config", out + "/run.cfg", "--synth", "1,6", "--out", out + "/t.ckpt"],
+    ["gradcheck", "--scope", "ops"],
+)]
+print(codes)
+"""
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # numpy is muvit's only run-time dependency
+        src = os.path.dirname(os.path.dirname(os.path.abspath(muvit.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+                           capture_output=True, text=True, timeout=600)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[0, 0, 0, 0]", r.stdout + r.stderr
 
 
 class TestBenchCommand:

@@ -6,17 +6,18 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
-from muvit.data import (CONFIG_KEYS, ParseError, Sample, config_doc_dumps,
-                        config_doc_loads, doc_from_model_config, load_checkpoint,
-                        load_dataset, load_model_state, load_pnm,
+from muvit.data import (CONFIG_KEYS, SCHEDULES, ParseError, Sample, _gaussian_blur,
+                        config_doc_dumps, config_doc_loads, doc_from_model_config,
+                        load_checkpoint, load_dataset, load_model_state, load_pnm,
                         model_config_from_doc, read_image, read_mask,
                         save_checkpoint, save_dataset, synth_dataset, synth_sample,
                         write_image, write_mask)
 from muvit.accounting import count_params
 from muvit.model import ModelConfig, build_model
 from muvit.tensor import ConfigError
-from muvit.training import SCHEDULES, lr_schedule
+from muvit.training import lr_schedule
 
 
 class TestPNM:
@@ -129,6 +130,15 @@ class TestSynthDataset:
     def test_masks_binary(self):
         for s in synth_dataset(seed=19, n=4, size=64):
             assert set(np.unique(s.mask)) <= {0.0, 1.0}
+
+    def test_blur_is_bitwise_scipy_gaussian_filter(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(16, 129))
+            sigma = rng.uniform(0.8, 2.8)
+            m = (rng.random((n, n)) < rng.uniform(0.05, 0.6)).astype(np.float64)
+            out, ref = _gaussian_blur(m, sigma), gaussian_filter(m, sigma)
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), (n, sigma)
 
     def test_size_divisibility_enforced(self):
         with pytest.raises(ConfigError):
@@ -453,6 +463,19 @@ class TestSample:
         with pytest.raises(ConfigError):
             Sample(image=np.zeros((3, 60, 60), dtype=np.float32),
                    mask=np.zeros((1, 60, 60), dtype=np.float32))
+
+    def test_rejects_empty_image(self):
+        with pytest.raises(ConfigError, match="positive multiple of 32"):
+            Sample(image=np.zeros((3, 0, 0), dtype=np.float32),
+                   mask=np.zeros((1, 0, 0), dtype=np.float32))
+
+    def test_load_dataset_names_the_files_of_an_empty_sample(self, tmp_path):
+        for sub, name, magic in (("images", "0000.ppm", b"P6"), ("masks", "0000.pgm", b"P5")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / name).write_bytes(magic + b"\n0 0\n255\n")
+        with pytest.raises(ConfigError,
+                           match=r"0000\.ppm, .*0000\.pgm: sample spatial dims \(0, 0\)"):
+            load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("shape", [(1, 64, 64), (1, 32, 64), (3, 32, 32), (32, 32)])
     def test_rejects_mask_that_does_not_fit_its_image(self, shape):

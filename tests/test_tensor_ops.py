@@ -637,6 +637,23 @@ class TestActivations:
         dref = cdf + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2.0 * math.pi)
         assert np.abs(xt.grad - dref).max() <= 5e-7
 
+    def test_gelu_f64_within_4_ulp_of_scipy_erf(self):
+        # math.erf and scipy's erf differ by a few ulp; 1 + erf(x/sqrt 2)
+        # cancels for x << 0, so the error is taken in ulps of the scale of
+        # the terms, max(|x|, |y|) for y = x Phi(x) and max(1, |y'|) for
+        # y' = Phi(x) + x phi(x), not of y itself
+        x = np.linspace(-12.0, 12.0, 1_000_001)
+        xt = Tensor(x, requires_grad=True)
+        with T.record():
+            y = T.gelu(xt)
+            T.backward(T.tsum(y))
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        ref = x * cdf
+        dref = cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        assert y.data.dtype == np.float64 and xt.grad.dtype == np.float64
+        assert np.all(np.abs(y.data - ref) <= 4 * np.spacing(np.maximum(np.abs(x), np.abs(ref))))
+        assert np.all(np.abs(xt.grad - dref) <= 4 * np.spacing(np.maximum(1.0, np.abs(dref))))
+
     def test_gelu_f32_across_chunks(self, rng):
         # longer than two chunks, not a multiple of the chunk: each element
         # gets the value it gets on its own

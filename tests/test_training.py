@@ -245,6 +245,20 @@ class TestTrainLoop:
         assert res.best_val_iou >= 0.0
         assert set(res.best_state) == set(model.named_state().keys())
 
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_samples_of_another_size_rejected_before_the_first_step(self, tmp_path, which):
+        train, val = self._tiny()
+        if which == "training":
+            train = train[:3] + synth_dataset(seed=5, n=1, size=32) + train[3:]
+        else:
+            val = synth_dataset(seed=5, n=2, size=32)
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        log = tmp_path / "train.log"
+        with pytest.raises(ConfigError,
+                           match=f"{which} sample 'synth-5-0000' is 32x32; the model takes 64x64"):
+            train_loop(model, train, val, epochs=1, batch_size=4, seed=0, log_path=str(log))
+        assert not log.exists()
+
     def test_log_file_jsonl(self, tmp_path):
         import json
         train, val = self._tiny()
