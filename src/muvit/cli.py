@@ -87,11 +87,11 @@ def cmd_build(args):
 
 
 def _load_model(ckpt_path):
-    doc, tensors, optim = load_checkpoint(ckpt_path)
+    doc, tensors, _ = load_checkpoint(ckpt_path)
     cfg = model_config_from_doc(doc)
     model = build_model(cfg, seed=doc["seed"])
     load_model_state(model, tensors)
-    return doc, model, optim
+    return model
 
 
 def cmd_train(args):
@@ -119,7 +119,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    _, model, _ = _load_model(args.ckpt)
+    model = _load_model(args.ckpt)
     dataset = load_dataset(args.data)
     res = evaluate(model, dataset, batch_size=args.batch)
     for i, s in enumerate(res.per_sample):
@@ -165,7 +165,7 @@ def _latency_tail(times):
 
 
 def cmd_bench(args):
-    _, model, _ = _load_model(args.ckpt)
+    model = _load_model(args.ckpt)
     model.eval()
     size = model.cfg.input_size
     rng = np.random.default_rng(0)

@@ -78,19 +78,25 @@ def segmentation_metrics(logits, gt):
 
 
 def evaluate(model, dataset, batch_size=8):
-    """Mean of per-sample metrics over a dataset, in deterministic order."""
+    """Mean of per-sample metrics over a dataset, in deterministic order, run
+    in eval mode; the model is left in the mode it was in."""
     if not dataset:
         raise ConfigError("evaluate: empty dataset")
-    model.eval()
     result = EvalResult()
     dtype = T.DTYPES[model.cfg.dtype]
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start:start + batch_size]
-        x = Tensor(np.stack([standardize(s.image) for s in chunk]).astype(dtype))
-        y = np.stack([s.mask for s in chunk])
-        logits = model(x)
-        part = segmentation_metrics(logits.data, y)
-        result.per_sample.extend(part.per_sample)
+    was_training = model.training
+    model.eval()
+    try:
+        for start in range(0, len(dataset), batch_size):
+            chunk = dataset[start:start + batch_size]
+            x = Tensor(np.stack([standardize(s.image) for s in chunk]).astype(dtype))
+            y = np.stack([s.mask for s in chunk])
+            logits = model(x)
+            part = segmentation_metrics(logits.data, y)
+            result.per_sample.extend(part.per_sample)
+    finally:
+        if was_training:
+            model.train()
     result.mean_iou = float(np.mean([s.iou for s in result.per_sample]))
     result.mean_f1 = float(np.mean([s.f1 for s in result.per_sample]))
     return result

@@ -4,9 +4,15 @@ Stages 1-3 are ConvUtr stages, stage 4 stacks LKLGL blocks at 1/16
 resolution, stage 5 is the transformer bottleneck on the 1/32 token grid.
 The decoder upsamples back in five steps, fusing pooled (or horizontal)
 skip features from the ConvUtr stages along the way, as SKIPS lays out.
+
+MobileUViT.stages is the one walk of the network. It yields (name, output)
+per stage: enc1..enc5, the mode's skip adapters (adapt1..), dec1..dec5 and
+head. forward returns the last output, and first_nonfinite_layer names the
+first stage of the walk, adapter or not, whose output is non-finite.
 """
 
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,87 +160,74 @@ class MobileUViT(Module):
         self.head = Conv2d(cfg.decoder[-1][2], cfg.num_classes, 1, bias=True)
         self.astype(cfg.dtype)
 
-    def encode(self, x, taps=None):
-        """Run the encoder; returns (stage outputs f1..f5)."""
-        f1 = self.enc1(x)
-        f2 = self.enc2(f1)
-        f3 = self.enc3(f2)
-        t = T.relu(self.proj4_bn(self.proj4(self.down4(f3))))
-        for blk in self.enc4:
-            t = blk(t)
-        f4 = t
-        t = T.relu(self.proj5_bn(self.proj5(self.down5(f4))))
-        n, c, h, w = t.shape
-        tok = T.add(to_tokens(t), self.pos_embed)
-        for blk in self.enc5:
-            tok = blk(tok)
-        f5 = to_map(tok, h, w)
-        feats = (f1, f2, f3, f4, f5)
-        if taps is not None:
-            for i, f in enumerate(feats, start=1):
-                taps[f"enc{i}"] = f
-        return feats
-
-    def _decode(self, feats, taps=None):
-        skips = [None] * 5
-        for row in self.cfg.skips:
-            skips[row.level] = getattr(self, row.name)(feats[row.stage - 1])
-        x = feats[-1]
-        for i, dec in enumerate(self.dec):
-            x = dec(x, skips[i])
-            if taps is not None:
-                taps[f"dec{i + 1}"] = x
-        logits = self.head(x)
-        if taps is not None:
-            taps["head"] = logits
-        return logits
-
-    def _forward(self, images, taps=None):
+    def stages(self, images):
+        """Run images [N,3,S,S] one stage at a time, yielding (name, output)
+        in execution order; the last output is the logits."""
         if images.ndim != 4 or images.shape[1] != 3:
             raise UsageError(f"expected [N,3,S,S] images, got {images.shape}")
         s = self.cfg.input_size
         if images.shape[2] != s or images.shape[3] != s:
             raise UsageError(f"model built for {s}x{s} inputs, got "
                              f"{images.shape[2]}x{images.shape[3]}")
-        return self._decode(self.encode(images, taps), taps)
+        f1 = self.enc1(images)
+        yield "enc1", f1
+        f2 = self.enc2(f1)
+        yield "enc2", f2
+        f3 = self.enc3(f2)
+        yield "enc3", f3
+        f4 = T.relu(self.proj4_bn(self.proj4(self.down4(f3))))
+        for blk in self.enc4:
+            f4 = blk(f4)
+        yield "enc4", f4
+        t = T.relu(self.proj5_bn(self.proj5(self.down5(f4))))
+        h, w = t.shape[2:]
+        t = T.add(to_tokens(t), self.pos_embed)
+        for blk in self.enc5:
+            t = blk(t)
+        x = to_map(t, h, w)
+        yield "enc5", x
+        feats = (f1, f2, f3, f4)
+        skips = [None] * 5
+        for row in self.cfg.skips:
+            skips[row.level] = getattr(self, row.name)(feats[row.stage - 1])
+            yield row.name, skips[row.level]
+        for i, dec in enumerate(self.dec):
+            x = dec(x, skips[i])
+            yield f"dec{i + 1}", x
+        yield "head", self.head(x)
 
-    def forward(self, images, taps=None):
-        """Images [N,3,S,S] -> logits [N,num_classes,S,S].
-
-        Eval mode runs under no_grad, so nothing is recorded on any graph.
-        """
-        if not self.training:
-            with T.no_grad():
-                return self._forward(images, taps)
-        return self._forward(images, taps)
+    def forward(self, images):
+        """Images [N,3,S,S] -> logits [N,num_classes,S,S], the last output of
+        stages. Eval mode runs under no_grad, so nothing is recorded."""
+        with nullcontext() if self.training else T.no_grad():
+            for _, out in self.stages(images):
+                pass
+        return out
 
 
 def build_model(cfg: ModelConfig, seed=0):
     """Construct and deterministically initialize a model from its config."""
     model = MobileUViT(cfg)
     nn.initialize(model, seed)
-    model.seed = seed
     return model
 
 
 def first_nonfinite_layer(model, images):
-    """Name of the first stage producing non-finite values, or None.
+    """Name of the first stage of model.stages whose output is non-finite, or
+    None; no later stage runs.
 
-    Re-runs the forward in the model's current mode without recording a tape
-    and checks the output of each stage in turn; train-mode BatchNorm running
-    statistics are restored afterwards, so the call leaves the model as it
-    found it. The re-run raises no floating-point warnings, as non-finite
-    values are what it looks for; other errors propagate.
+    The walk runs in the model's current mode without recording a tape and
+    raises no floating-point warnings, as non-finite values are what it looks
+    for; other errors propagate. Train-mode BatchNorm running statistics are
+    restored, so the call leaves the model as it found it.
     """
-    taps = {}
     saved = [(b, b.copy()) for _, b in model.named_buffers()]
     try:
         with T.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            model.forward(images, taps=taps)
+            for name, out in model.stages(images):
+                if not np.all(np.isfinite(out.data)):
+                    return name
     finally:
         for buf, value in saved:
             buf[...] = value
-    for name, t in taps.items():
-        if not np.all(np.isfinite(t.data)):
-            return name
     return None

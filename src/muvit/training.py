@@ -113,7 +113,7 @@ class SGD:
 
 def lr_schedule(kind, t, total, lr0, warmup=0):
     """poly: lr0*(1 - t/T)^0.9; warmup_cosine: linear 0->lr0 over W then
-    half-cosine to 0; constant: lr0."""
+    half-cosine to 0, where train_loop takes W = T // 20 steps; constant: lr0."""
     if kind not in SCHEDULES:
         raise ConfigError(f"unknown schedule '{kind}'")
     if total <= 0:
@@ -226,7 +226,7 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
             for b in range(steps_per_epoch):
                 idx = order[b * batch_size:(b + 1) * batch_size]
                 x, y = _batch_tensors(train_set, idx, seed, epoch, dtype)
-                lr = lr_schedule(schedule, step, total_steps, lr0)
+                lr = lr_schedule(schedule, step, total_steps, lr0, warmup=total_steps // 20)
                 with T.record():
                     with np.errstate(**_QUIET):
                         logits = model(x)
@@ -261,7 +261,6 @@ def train_loop(model, train_set, val_set, epochs, batch_size,
                     best_iou = res.mean_iou
                     best_epoch = epoch
                     best_state = {k: v.copy() for k, v in model.named_state().items()}
-                model.train()
     finally:
         if log_file:
             log_file.close()

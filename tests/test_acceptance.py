@@ -139,9 +139,8 @@ def test_criterion_06_shape_pipeline():
     for size, stages in expected.items():
         model = build_model(ModelConfig.for_variant("base", input_size=size), seed=0)
         model.eval()
-        taps = {}
-        out = model.forward(Tensor(rng.random((1, 3, size, size)).astype(np.float32)),
-                            taps=taps)
+        taps = dict(model.stages(Tensor(rng.random((1, 3, size, size)).astype(np.float32))))
+        out = taps["head"]
         assert out.shape == (1, 1, size, size)
         for i, (c, s) in enumerate(stages, start=1):
             assert taps[f"enc{i}"].shape == (1, c, s, s), f"enc{i} at {size}"

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from muvit import tensor as T
 from muvit.data import synth_dataset
 from muvit.metrics import evaluate, segmentation_metrics
 from muvit.model import ModelConfig, build_model
-from muvit.tensor import ConfigError
+from muvit.tensor import ConfigError, Tensor
 
 
 def logit(mask, hi=12.0):
@@ -115,6 +116,24 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             evaluate(self._model(), [])
+
+    def test_train_mode_model_still_records_after(self, rng):
+        model = self._model()
+        model.train()
+        evaluate(model, synth_dataset(seed=3, n=1, size=64))
+        assert model.training
+        x = Tensor(rng.random((1, 3, 64, 64)).astype(np.float32))
+        with T.record():
+            loss = T.tsum(model(x))
+            model.zero_grad()
+            T.backward(loss)
+        assert model.head.weight.grad is not None
+
+    def test_eval_mode_model_stays_in_eval_mode(self):
+        model = self._model()
+        model.eval()
+        evaluate(model, synth_dataset(seed=3, n=1, size=64))
+        assert not model.training
 
     def test_deterministic(self):
         ds = synth_dataset(seed=3, n=4, size=64)

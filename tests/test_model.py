@@ -170,8 +170,8 @@ class TestForward:
         cfg = ModelConfig.for_variant("base", input_size=64)
         model = build_model(cfg, seed=0)
         model.eval()
-        taps = {}
-        out = model.forward(image_batch(rng, 2, 64), taps=taps)
+        taps = dict(model.stages(image_batch(rng, 2, 64)))
+        out = taps["head"]
         assert out.shape == (2, 1, 64, 64)
         assert taps["enc5"].shape == (2, 128, 2, 2)
         assert np.all(np.isfinite(out.data))
@@ -197,9 +197,7 @@ class TestForward:
             cfg = ModelConfig.for_variant("base", input_size=64, skip_mode=mode)
             model = build_model(cfg, seed=0)
             model.eval()
-            tp = {}
-            model.forward(x, taps=tp)
-            taps[mode] = tp
+            taps[mode] = dict(model.stages(x))
         for stage in ("enc1", "enc2", "enc3", "enc4", "enc5"):
             ref = taps["none"][stage].data.tobytes()
             assert taps["skip3"][stage].data.tobytes() == ref
@@ -229,6 +227,27 @@ class TestForward:
         model = build_model(cfg, seed=0)
         model.eval()
         assert model(image_batch(rng, 1, 64)).shape == (1, 3, 64, 64)
+
+
+class TestStages:
+    ADAPTERS = {"none": [], "horizontal": ["adapt1", "adapt2", "adapt3"], "skip1": ["adapt1"],
+                "skip2": ["adapt1", "adapt2"], "skip3": ["adapt1", "adapt2", "adapt3"]}
+
+    @pytest.mark.parametrize("mode", list(ADAPTERS))
+    def test_names_in_execution_order(self, rng, mode):
+        model = build_model(ModelConfig.for_variant("base", input_size=64, skip_mode=mode))
+        model.eval()
+        names = [name for name, _ in model.stages(image_batch(rng, 1, 64))]
+        assert names == ["enc1", "enc2", "enc3", "enc4", "enc5", *self.ADAPTERS[mode],
+                         "dec1", "dec2", "dec3", "dec4", "dec5", "head"]
+
+    def test_forward_is_the_last_stage_output(self, rng):
+        model = build_model(ModelConfig.for_variant("base", input_size=64), seed=0)
+        model.eval()
+        x = image_batch(rng, 2, 64)
+        name, last = list(model.stages(x))[-1]
+        assert name == "head"
+        assert model.forward(x).data.tobytes() == last.data.tobytes()
 
 
 class TestModes:
@@ -279,6 +298,27 @@ class TestDiagnostics:
         model.enc3.proj.weight.data[0, 0, 0, 0] = np.nan
         layer = first_nonfinite_layer(model, image_batch(rng, 1, 64))
         assert layer == "enc3"
+
+    def test_poisoned_adapter_is_named(self, rng):
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        model = build_model(cfg, seed=0)
+        model.adapt1.conv1.weight.data[0, 0, 0, 0] = np.nan
+        assert first_nonfinite_layer(model, image_batch(rng, 1, 64)) == "adapt1"
+
+    def test_walk_stops_at_the_first_nonfinite_stage(self, rng, monkeypatch):
+        cfg = ModelConfig.for_variant("base", input_size=64)
+        model = build_model(cfg, seed=0)
+        model.enc3.proj.weight.data[0, 0, 0, 0] = np.nan
+        calls = []
+        dec1 = model.dec[0].forward
+
+        def spy(*args):
+            calls.append(args)
+            return dec1(*args)
+
+        monkeypatch.setattr(model.dec[0], "forward", spy)
+        assert first_nonfinite_layer(model, image_batch(rng, 1, 64)) == "enc3"
+        assert calls == []
 
     def test_clean_model_reports_none(self, rng):
         cfg = ModelConfig.for_variant("base", input_size=64)

@@ -237,6 +237,14 @@ class TestTrainLoop:
         for rec in res.history:
             assert rec["lr"] == lr_schedule("poly", rec["step"], total, 0.01)
 
+    def test_warmup_cosine_warms_up_over_a_twentieth_of_the_run(self):
+        model = build_model(ModelConfig.for_variant("base", input_size=32), seed=0)
+        res = train_loop(model, synth_dataset(seed=2, n=10, size=32), None, epochs=4,
+                         batch_size=1, schedule="warmup_cosine", lr0=0.01, seed=0)
+        assert [r["lr"] for r in res.history] == [
+            lr_schedule("warmup_cosine", t, 40, 0.01, warmup=2) for t in range(40)]
+        assert res.history[0]["lr"] == 0.0
+
     def test_best_checkpoint_retained(self):
         train, val = self._tiny()
         cfg = ModelConfig.for_variant("base", input_size=64)
@@ -345,9 +353,9 @@ class TestTape:
         gc.collect()
         gc.disable()
         try:
-            taps = {}
             with record():
-                logits = model.forward(x, taps=taps)
+                taps = dict(model.stages(x))
+                logits = taps["head"]
                 terms = seg_loss(logits, y)
                 model.zero_grad()
                 backward(terms.total)
